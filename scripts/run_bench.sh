@@ -2,10 +2,11 @@
 # Runs the microbenchmark suite at the scalar and auto-detected SIMD
 # dispatch levels and merges the two runs into BENCH_microbench.json
 # (committed at the repo root), recording per-benchmark scalar_ns, auto_ns
-# and the speedup ratio. scripts/check_bench_regression.py consumes the
-# same file as its baseline.
+# (medians over BENCH_REPS repetitions, default 1), their coefficients of
+# variation and the speedup ratio. scripts/check_bench_regression.py
+# consumes the same file as its baseline.
 #
-# Usage: scripts/run_bench.sh [build-dir] [output-json]
+# Usage: [BENCH_REPS=5] scripts/run_bench.sh [build-dir] [output-json]
 #   build-dir    Release build directory (default: build-bench, configured
 #                and built here if missing).
 #   output-json  merged result path (default: BENCH_microbench.json).
@@ -16,8 +17,9 @@ BUILD_DIR="${1:-${REPO_ROOT}/build-bench}"
 OUT_JSON="${2:-${REPO_ROOT}/BENCH_microbench.json}"
 # The slow whole-experiment benchmarks are not dispatch-sensitive enough to
 # justify their runtime in the smoke loop; the kernel set below is the one
-# the regression gate tracks.
-FILTER="${BENCH_FILTER:-BM_FftPow2|BM_FftBluestein|BM_Rfft|BM_StftPower|BM_StftPlanned|BM_Mfcc|BM_Mel|BM_Resample|BM_Correlation2d|BM_FullPipelineScore|BM_StreamingScore|BM_ShardSteal}"
+# the regression gate tracks. BM_SyncEstimate and BM_CrossDomainCapture
+# time the sync and vib_capture stages, which own most of a score.
+FILTER="${BENCH_FILTER:-BM_FftPow2|BM_FftBluestein|BM_Rfft|BM_StftPower|BM_StftPlanned|BM_Mfcc|BM_Mel|BM_Resample|BM_Correlation2d|BM_SyncEstimate|BM_CrossDomainCapture|BM_FullPipelineScore|BM_StreamingScore|BM_ShardSteal}"
 
 if [[ ! -f "${BUILD_DIR}/CMakeCache.txt" ]]; then
   cmake -S "${REPO_ROOT}" -B "${BUILD_DIR}" -DCMAKE_BUILD_TYPE=Release \

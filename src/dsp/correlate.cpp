@@ -30,19 +30,31 @@ void cross_correlate_direct(std::span<const double> a,
 
 void cross_correlate_fft(std::span<const double> a, std::span<const double> b,
                          std::size_t max_lag, CorrelationScratch& scratch) {
-  // corr(lag) = sum_n a(n) b(n+lag) = IFFT(conj(FFT(a)) * FFT(b)) with
-  // enough zero padding to avoid circular wrap.
-  const std::size_t m = next_pow2(a.size() + b.size() + 2 * max_lag);
-  std::vector<Complex>& fa = scratch.fa;
-  std::vector<Complex>& fb = scratch.fb;
-  fa.assign(m, Complex(0.0, 0.0));
-  fb.assign(m, Complex(0.0, 0.0));
-  for (std::size_t i = 0; i < a.size(); ++i) fa[i] = Complex(a[i], 0.0);
-  for (std::size_t i = 0; i < b.size(); ++i) fb[i] = Complex(b[i], 0.0);
-  fft_pow2(fa, false);
-  fft_pow2(fb, false);
-  for (std::size_t i = 0; i < m; ++i) fa[i] = std::conj(fa[i]) * fb[i];
-  fft_pow2(fa, true);
+  // corr(lag) = sum_n a(n) b(n+lag) = IFFT(conj(A) * B). Bin l of the
+  // m-point circular result also collects the linear lags l ± m, which are
+  // zero outside (-na, nb); m > max(na, nb) + max_lag keeps every such
+  // alias out of [-max_lag, max_lag] (DESIGN.md §5a).
+  const std::size_t m = next_pow2(std::max(a.size(), b.size()) + max_lag + 1);
+  // Both real inputs share one transform: z = a + i*b.
+  std::vector<Complex>& z = scratch.spectrum;
+  z.assign(m, Complex(0.0, 0.0));
+  for (std::size_t i = 0; i < a.size(); ++i) z[i].real(a[i]);
+  for (std::size_t i = 0; i < b.size(); ++i) z[i].imag(b[i]);
+  fft_pow2(z, false);
+  // With Zr = conj(Z[m-k]): A[k] = (Z[k] + Zr) / 2, B[k] = (Z[k] - Zr) / 2i.
+  // ar + i*ai = 2A and br + i*bi = 2B, so conj(A) * B is a quarter of their
+  // product. The product is Hermitian, so bin m - k gets its conjugate.
+  for (std::size_t k = 0; k <= m / 2; ++k) {
+    const std::size_t r = (m - k) & (m - 1);
+    const double ar = z[k].real() + z[r].real();
+    const double ai = z[k].imag() - z[r].imag();
+    const double br = z[k].imag() + z[r].imag();
+    const double bi = z[r].real() - z[k].real();
+    const Complex p(0.25 * (ar * br + ai * bi), 0.25 * (ar * bi - ai * br));
+    z[k] = p;
+    z[r] = std::conj(p);
+  }
+  fft_pow2(z, true);
   std::vector<double>& out = scratch.corr;
   out.assign(2 * max_lag + 1, 0.0);
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -51,7 +63,7 @@ void cross_correlate_fft(std::span<const double> a, std::span<const double> b,
     const std::size_t idx =
         lag >= 0 ? static_cast<std::size_t>(lag)
                  : m - static_cast<std::size_t>(-lag);
-    out[i] = fa[idx].real();
+    out[i] = z[idx].real();
   }
 }
 

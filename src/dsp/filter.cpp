@@ -1,6 +1,9 @@
 #include "dsp/filter.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include "common/error.hpp"
@@ -158,9 +161,19 @@ Signal apply_gain_curve(const Signal& in,
   return out;
 }
 
-void apply_gain_curve(const Signal& in,
-                      const std::function<double(double)>& gain, Signal& out,
-                      std::vector<std::complex<double>>& work) {
+namespace {
+
+// Frequency of one-sided bin k on the m-point grid at fs: where both the
+// std::function and the table overload sample a curve.
+double grid_hz(std::size_t k, std::size_t m, double fs) {
+  return static_cast<double>(k) * fs / static_cast<double>(m);
+}
+
+// The zero-phase filter's one pass: transform, scale one-sided bin k and
+// its mirror by gain_at(k, m, fs), inverse-transform.
+template <typename GainAt>
+void filter_bins(const Signal& in, const GainAt& gain_at, Signal& out,
+                 std::vector<Complex>& work) {
   if (in.empty()) {
     if (&out != &in) out = in;
     return;
@@ -173,8 +186,7 @@ void apply_gain_curve(const Signal& in,
   fft_pow2(work, false);
   // Scale bins conjugate-symmetrically so the inverse transform stays real.
   for (std::size_t k = 0; k <= m / 2; ++k) {
-    const double f = static_cast<double>(k) * fs / static_cast<double>(m);
-    const double g = gain(f);
+    const double g = gain_at(k, m, fs);
     work[k] *= g;
     if (k != 0 && k != m / 2) work[m - k] *= g;
   }
@@ -183,6 +195,62 @@ void apply_gain_curve(const Signal& in,
   if (&out != &in) out.reset(fs);
   out.resize(n);
   for (std::size_t i = 0; i < n; ++i) out[i] = work[i].real();
+}
+
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+// Per-cache entry bound: real callers use a few device configs times a few
+// command-length grids; the bound only stops unbounded growth.
+constexpr std::size_t kMaxGainTables = 32;
+
+}  // namespace
+
+void apply_gain_curve(const Signal& in,
+                      const std::function<double(double)>& gain, Signal& out,
+                      std::vector<std::complex<double>>& work) {
+  filter_bins(
+      in,
+      [&gain](std::size_t k, std::size_t m, double fs) {
+        return gain(grid_hz(k, m, fs));
+      },
+      out, work);
+}
+
+void apply_gain_curve(const Signal& in, std::span<const double> table,
+                      Signal& out, std::vector<std::complex<double>>& work) {
+  VIBGUARD_REQUIRE(
+      in.empty() || table.size() == next_pow2(in.size()) / 2 + 1,
+      "gain table must match the signal's FFT grid");
+  filter_bins(
+      in, [table](std::size_t k, std::size_t, double) { return table[k]; },
+      out, work);
+}
+
+std::span<const double> GainTableCache::get(
+    std::initializer_list<double> params, const Signal& in,
+    const std::function<double(double)>& gain) {
+  if (in.empty()) return {};
+  const std::size_t m = next_pow2(in.size());
+  const double fs = in.sample_rate();
+  for (const Entry& e : entries_) {
+    if (e.fft_size == m && same_bits(e.sample_rate, fs) &&
+        std::equal(e.params.begin(), e.params.end(), params.begin(),
+                   params.end(), same_bits)) {
+      return e.table;
+    }
+  }
+  if (entries_.size() == kMaxGainTables) entries_.erase(entries_.begin());
+  Entry& e = entries_.emplace_back();
+  e.params.assign(params);
+  e.fft_size = m;
+  e.sample_rate = fs;
+  e.table.resize(m / 2 + 1);
+  for (std::size_t k = 0; k <= m / 2; ++k) {
+    e.table[k] = gain(grid_hz(k, m, fs));
+  }
+  return e.table;
 }
 
 }  // namespace vibguard::dsp

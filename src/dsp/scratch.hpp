@@ -21,8 +21,8 @@ namespace vibguard::dsp {
 /// Buffers for FFT-based cross-correlation (cross_correlate /
 /// estimate_delay scratch overloads).
 struct CorrelationScratch {
-  std::vector<std::complex<double>> fa;
-  std::vector<std::complex<double>> fb;
+  /// Both inputs' joint spectrum, then their cross-spectrum.
+  std::vector<std::complex<double>> spectrum;
   std::vector<double> corr;
 };
 

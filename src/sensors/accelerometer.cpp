@@ -85,9 +85,13 @@ void Accelerometer::capture_into(const Signal& audio, Rng& rng, Signal& out,
   const double excitation_rms = audio.rms();
 
   // Effect 1: conductive coupling.
+  thread_local dsp::GainTableCache couplings;
   dsp::apply_gain_curve(
-      audio, [this](double f) { return coupling_gain(f); }, scratch.coupled,
-      scratch.cwork);
+      audio,
+      couplings.get({config_.coupling_knee_hz, config_.coupling_low_gain,
+                     config_.coupling_order},
+                    audio, [this](double f) { return coupling_gain(f); }),
+      scratch.coupled, scratch.cwork);
 
   // Effect 2: naive 200 Hz sampling — deliberately NO anti-alias filter
   // (unless the ablation switch is set).
@@ -98,9 +102,13 @@ void Accelerometer::capture_into(const Signal& audio, Rng& rng, Signal& out,
   }
 
   // Effect 3: low-frequency sensitivity artifact (applied in place).
+  thread_local dsp::GainTableCache sensitivities;
   dsp::apply_gain_curve(
-      out, [this](double f) { return sensitivity_gain(f); }, out,
-      scratch.cwork);
+      out,
+      sensitivities.get({config_.lf_boost_gain, config_.lf_boost_corner_hz},
+                        out,
+                        [this](double f) { return sensitivity_gain(f); }),
+      out, scratch.cwork);
 
   // Effect 4: amplifier noise grows with low-frequency dominance.
   const double sat = config_.lf_noise_saturation_rms;

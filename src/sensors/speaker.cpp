@@ -41,8 +41,13 @@ Signal Speaker::render(const Signal& in) const {
 
 void Speaker::render_into(const Signal& in, Signal& out,
                           std::vector<std::complex<double>>& work) const {
-  dsp::apply_gain_curve(in, [this](double f) { return response(f); }, out,
-                        work);
+  // The response depends on the two cut-offs alone.
+  thread_local dsp::GainTableCache responses;
+  dsp::apply_gain_curve(
+      in,
+      responses.get({config_.low_cut_hz, config_.high_cut_hz}, in,
+                    [this](double f) { return response(f); }),
+      out, work);
   if (config_.distortion > 0.0) {
     // Gentle odd-order nonlinearity (tanh soft clipper) around the signal's
     // own scale, so distortion is level-independent in this normalized
@@ -50,8 +55,9 @@ void Speaker::render_into(const Signal& in, Signal& out,
     const double peak = out.peak();
     if (peak > 0.0) {
       const double drive = 1.0 + config_.distortion * 4.0;
+      const double full_scale = std::tanh(drive);
       for (double& s : out) {
-        s = peak * std::tanh(drive * s / peak) / std::tanh(drive);
+        s = peak * std::tanh(drive * s / peak) / full_scale;
       }
     }
   }

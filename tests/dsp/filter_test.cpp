@@ -163,5 +163,37 @@ TEST(GainCurveTest, EmptySignalPassesThrough) {
   EXPECT_TRUE(out.empty());
 }
 
+TEST(GainCurveTest, TableMustMatchTheSignalsGrid) {
+  const Signal in = Signal::zeros(300, 1000.0);  // 512-point grid
+  const std::vector<double> table(256, 1.0);
+  Signal out;
+  std::vector<std::complex<double>> work;
+  EXPECT_THROW(apply_gain_curve(in, table, out, work),
+               vibguard::InvalidArgument);
+}
+
+TEST(GainCurveTest, TableCacheKeysOnParametersAndGrid) {
+  GainTableCache cache;
+  const Signal a = Signal::zeros(300, 1000.0);       // 512-point grid
+  const Signal same_grid = Signal::zeros(400, 1000.0);
+  const Signal other_rate = Signal::zeros(300, 2000.0);
+  const Signal other_size = Signal::zeros(600, 1000.0);
+  std::size_t evaluations = 0;
+  const auto hz = [&evaluations](double f) {
+    ++evaluations;
+    return f;
+  };
+  const auto table = cache.get({1.0}, a, hz);
+  ASSERT_EQ(table.size(), 257u);
+  EXPECT_EQ(table[256], 500.0);
+  EXPECT_EQ(evaluations, 257u);
+  cache.get({1.0}, same_grid, hz);
+  EXPECT_EQ(evaluations, 257u);
+  cache.get({2.0}, a, hz);
+  cache.get({1.0}, other_rate, hz);
+  cache.get({1.0}, other_size, hz);
+  EXPECT_EQ(evaluations, 3 * 257u + 513u);
+}
+
 }  // namespace
 }  // namespace vibguard::dsp

@@ -197,12 +197,20 @@ TEST(FuzzDifferential, CrossCorrelateMatchesDirectReference) {
     }
 
     // Large problem: min(len) * (2*max_lag + 1) >= 2^18 forces the
-    // FFT-based path (see correlate.cpp's crossover).
+    // FFT-based path (see correlate.cpp's crossover). Independent lengths
+    // and lags past the shorter input reach every wrap-around alias the
+    // transform's zero padding must keep out of the lag window.
     {
-      const auto len = static_cast<std::size_t>(rng.uniform_int(640, 760));
-      const auto lag = static_cast<std::size_t>(rng.uniform_int(220, 240));
-      const auto a = rng.gaussian_vector(len);
-      const auto b = rng.gaussian_vector(len);
+      const auto la = static_cast<std::size_t>(rng.uniform_int(100, 1000));
+      const auto lb = static_cast<std::size_t>(rng.uniform_int(100, 1000));
+      const std::size_t shorter = std::min(la, lb);
+      // Smallest max_lag with shorter * (2*max_lag + 1) >= 2^18.
+      const std::size_t min_lag = ((1u << 18) + shorter - 1) / shorter / 2;
+      const auto lag = static_cast<std::size_t>(rng.uniform_int(
+          static_cast<std::int64_t>(min_lag),
+          static_cast<std::int64_t>(std::max(min_lag, shorter) + 300)));
+      const auto a = rng.gaussian_vector(la);
+      const auto b = rng.gaussian_vector(lb);
       const auto got = dsp::cross_correlate(a, b, lag);
       const auto ref = testing::naive_cross_correlate(a, b, lag);
       ASSERT_EQ(got.size(), ref.size());

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "dsp/fft.hpp"
+#include "dsp/filter.hpp"
 #include "dsp/generate.hpp"
+#include "dsp/resample.hpp"
 #include "dsp/spectral.hpp"
 
 namespace vibguard::sensors {
@@ -18,6 +22,60 @@ AccelerometerConfig quiet_config() {
   cfg.base_noise_rms = 0.0;
   cfg.lf_noise_coeff = 0.0;
   return cfg;
+}
+
+// capture_into's definition without body motion: both gain curves
+// evaluated through std::function for every bin, then amplifier noise.
+Signal reference_capture(const Accelerometer& acc, const Signal& audio,
+                         Rng& rng) {
+  const AccelerometerConfig& cfg = acc.config();
+  const double dominance = acc.lf_dominance(audio);
+  const double excitation_rms = audio.rms();
+  const Signal coupled = dsp::apply_gain_curve(
+      audio, [&acc](double f) { return acc.coupling_gain(f); });
+  Signal out = dsp::apply_gain_curve(
+      dsp::decimate_alias(coupled, cfg.sample_rate),
+      [&acc](double f) { return acc.sensitivity_gain(f); });
+  const double sat = cfg.lf_noise_saturation_rms;
+  const double effective_rms = sat * excitation_rms / (sat + excitation_rms);
+  const double noise_rms = cfg.base_noise_rms + cfg.lf_noise_coeff *
+                                                    dominance * dominance *
+                                                    effective_rms;
+  for (double& s : out) s += rng.gaussian(0.0, noise_rms);
+  return out;
+}
+
+TEST(AccelerometerTest, GainTableCaptureMatchesCurveBitForBit) {
+  // Two audio FFT grids (4096 and 16384 points) and two coupling and
+  // sensitivity curves alternating on one thread, twice: the tables must
+  // be keyed on the curve parameters as well as the grid.
+  AccelerometerConfig stock;
+  stock.body_motion_rms = 0.0;
+  AccelerometerConfig stiff = stock;
+  stiff.coupling_knee_hz = 1200.0;
+  stiff.coupling_order = 4.0;
+  stiff.lf_boost_corner_hz = 2.0;
+  Rng noise(12);
+  const Signal short_in = dsp::pink_noise(0.2, 16000.0, 0.05, noise);
+  const Signal long_in = dsp::pink_noise(0.9, 16000.0, 0.05, noise);
+  dsp::Scratch scratch;
+  Signal out;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Signal* in : {&short_in, &long_in}) {
+      for (const AccelerometerConfig* cfg : {&stock, &stiff}) {
+        const Accelerometer acc(*cfg);
+        Rng r1(13), r2(13);
+        acc.capture_into(*in, r1, out, scratch);
+        const Signal want = reference_capture(acc, *in, r2);
+        ASSERT_EQ(out.size(), want.size());
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                    std::bit_cast<std::uint64_t>(want[i]))
+              << "sample " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(AccelerometerTest, OutputAtAccelRate) {
