@@ -9,6 +9,7 @@
 //                                          EER-vs-fault-severity robustness
 //   vibguard_cli load-sweep [--trials N] [--capacity N] [--deadline-ms N]
 //                                          overload behavior vs offered load
+//                                          (one worker, no batching)
 //   vibguard_cli load-sweep --workers 1,2,4 [--batch N] [--batch-window-ms N]
 //                                          sharded fleet scaling table
 //   vibguard_cli stream-sweep [--attack T] [--room R] [--trials N]
@@ -18,6 +19,7 @@
 //   vibguard_cli export-audio [DIR]        write demo WAV files
 //
 // All subcommands are deterministic for a fixed --seed (default 42).
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -85,6 +87,16 @@ std::uint64_t parse_number(const std::string& flag, const std::string& text) {
   return value;
 }
 
+/// Parses a millisecond flag the sweeps multiply into microseconds,
+/// rejecting values whose product would wrap.
+std::uint64_t parse_millis(const std::string& flag, const std::string& text) {
+  const std::uint64_t ms = parse_number(flag, text);
+  if (ms > UINT64_MAX / 1000) {
+    throw InvalidArgument(flag + " is too large, got '" + text + "'");
+  }
+  return ms;
+}
+
 Args parse(int argc, char** argv) {
   Args args;
   if (argc >= 2) args.command = argv[1];
@@ -94,6 +106,7 @@ Args parse(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : "";
     };
     auto number = [&]() { return parse_number(flag, next()); };
+    auto millis = [&]() { return parse_millis(flag, next()); };
     if (flag == "--attack") args.attack = next();
     else if (flag == "--fault") args.fault = next();
     else if (flag == "--room") args.room = next();
@@ -101,10 +114,10 @@ Args parse(int argc, char** argv) {
     else if (flag == "--segments") args.segments = number();
     else if (flag == "--seed") args.seed = number();
     else if (flag == "--capacity") args.capacity = number();
-    else if (flag == "--deadline-ms") args.deadline_ms = number();
+    else if (flag == "--deadline-ms") args.deadline_ms = millis();
     else if (flag == "--workers") args.workers = next();
     else if (flag == "--batch") args.batch = number();
-    else if (flag == "--batch-window-ms") args.batch_window_ms = number();
+    else if (flag == "--batch-window-ms") args.batch_window_ms = millis();
     else if (flag == "--fleet") args.fleet = number();
     else if (flag == "--rps") args.rps = number();
     else if (flag == "--chaos-seed") args.chaos_seed = number();
@@ -268,24 +281,25 @@ std::vector<std::size_t> parse_workers(const std::string& csv) {
 }
 
 int cmd_load_sweep(const Args& args) {
-  eval::LoadSweepConfig cfg;
-  cfg.scenario.room = acoustics::room_by_name(args.room);
-  cfg.attack = attack_by_name(args.attack);
-  cfg.legit_trials = args.trials;
-  cfg.attack_trials = args.trials;
-  cfg.queue_capacity = args.capacity;
-  cfg.deadline_us = args.deadline_ms * 1000;
+  eval::FleetSweepConfig fleet;
+  fleet.base.scenario.room = acoustics::room_by_name(args.room);
+  fleet.base.attack = attack_by_name(args.attack);
+  fleet.base.legit_trials = args.trials;
+  fleet.base.attack_trials = args.trials;
+  fleet.base.queue_capacity = args.capacity;
+  fleet.base.deadline_us = args.deadline_ms * 1000;
   if (!args.workers.empty()) {
-    eval::FleetSweepConfig fleet;
-    fleet.base = cfg;
     fleet.workers = parse_workers(args.workers);
     fleet.batch_max = args.batch;
     fleet.batch_window_us = args.batch_window_ms * 1000;
-    const auto result = eval::run_fleet_sweep(fleet, args.seed);
-    std::printf("%s", result.summary().c_str());
-    return 0;
+  } else {
+    // The single serving node: one worker, micro-batching off.
+    fleet.workers = {1};
+    fleet.batch_max = 1;
+    fleet.batch_window_us = 0;
+    fleet.batch_setup_us = 0;
   }
-  const auto result = eval::run_load_sweep(cfg, args.seed);
+  const auto result = eval::run_fleet_sweep(fleet, args.seed);
   std::printf("%s", result.summary().c_str());
   return 0;
 }

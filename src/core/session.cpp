@@ -1,6 +1,5 @@
 #include "core/session.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "common/error.hpp"
@@ -11,13 +10,6 @@ namespace {
 /// Retry forks are labeled from this base ("Retr") so they are decorrelated
 /// from every other consumer of the command's rng stream.
 constexpr std::uint64_t kRetryForkLabel = 0x52657472ULL;
-
-/// Backoff delays draw from this fork ("Bkof") of the command's entry
-/// stream: the schedule is deterministic per command yet never touches the
-/// scoring streams, so enabling backoff cannot perturb scores.
-constexpr std::uint64_t kBackoffForkLabel = 0x426b6f66ULL;
-
-double nan_score() { return std::numeric_limits<double>::quiet_NaN(); }
 
 /// Audit-log phrasing of an unscoreable outcome.
 std::string outcome_note(const ScoreOutcome& outcome) {
@@ -36,59 +28,33 @@ const char* verdict_name(Verdict verdict) {
     case Verdict::kAttackDetected: return "attack_detected";
     case Verdict::kWearableAbsent: return "wearable_absent";
     case Verdict::kIndeterminate: return "indeterminate";
-    case Verdict::kRejectedOverload: return "rejected_overload";
   }
   VIBGUARD_UNREACHABLE();
 }
 
-DefenseSession::DefenseSession(DefenseConfig config, SessionPolicy policy,
-                               const Clock* clock)
-    : system_(std::move(config)),
-      streaming_(system_),
-      policy_(policy),
-      clock_(clock) {
-  if (policy_.breaker.has_value()) {
-    DefenseConfig degraded = system_.config();
-    degraded.mode = policy_.degraded_mode;
-    degraded_system_.emplace(std::move(degraded));
-    breaker_.emplace(*policy_.breaker, this->clock());
-  }
+DefenseSession::DefenseSession(DefenseConfig config, SessionPolicy policy)
+    : system_(std::move(config)), policy_(policy) {}
+
+SessionEvent DefenseSession::open_event(const std::string& label) const {
+  SessionEvent event;
+  event.index = log_.size();
+  event.label = label;
+  event.score = std::numeric_limits<double>::quiet_NaN();
+  return event;
 }
 
-ScoreOutcome DefenseSession::score_with_retries(
-    SessionEvent& event, const DefenseSystem& system, const Signal& va,
-    const Signal& wearable, const Segmenter* segmenter, const Rng& base,
-    Rng& rng, const Deadline* deadline) {
-  ScoreOutcome outcome = system.try_score(va, wearable, segmenter, rng,
-                                          workspace_, &trace_, deadline);
-  pipeline_stats_.add(trace_);
+void DefenseSession::settle(SessionEvent& event, ScoreOutcome outcome,
+                            const Signal& va, const Signal& wearable,
+                            const Segmenter* segmenter, const Rng& base) {
   // An unscoreable command models as a re-request: retry on a decorrelated
   // fork of the command's entry stream. Forking from `base` (not from the
-  // advanced caller stream) keeps sequential and batch processing
-  // bit-identical. A deadline-exceeded attempt is never retried — the
-  // budget covers the whole command, and it is spent.
-  std::optional<serving::BackoffSchedule> backoff;
+  // stream the first attempt advanced) keeps sequential and batch
+  // processing bit-identical.
   for (std::size_t attempt = 1;
-       !outcome.ok() && outcome.status != ScoreStatus::kDeadlineExceeded &&
-       attempt <= policy_.max_retries;
-       ++attempt) {
-    if (clock_ != nullptr && policy_.backoff.base_us > 0) {
-      if (!backoff.has_value()) {
-        backoff.emplace(policy_.backoff, base.fork(kBackoffForkLabel));
-      }
-      std::uint64_t delay = backoff->next();
-      // Never wait past the command's budget: the retry after a clipped
-      // wait observes the expiry at its first stage boundary and settles
-      // on kDeadlineExceeded instead of blocking.
-      if (deadline != nullptr) {
-        delay = std::min(delay, deadline->remaining_us());
-      }
-      clock().sleep_us(delay);
-      event.backoff_us += delay;
-    }
+       !outcome.ok() && attempt <= policy_.max_retries; ++attempt) {
     Rng retry_rng = base.fork(kRetryForkLabel + attempt);
-    outcome = system.try_score(va, wearable, segmenter, retry_rng,
-                               workspace_, &trace_, deadline);
+    outcome = system_.try_score(va, wearable, segmenter, retry_rng,
+                                workspace_, &trace_);
     pipeline_stats_.add(trace_);
     ++stats_.retries;
     event.attempts = attempt + 1;
@@ -96,7 +62,7 @@ ScoreOutcome DefenseSession::score_with_retries(
 
   if (outcome.ok()) {
     event.score = outcome.score;
-    if (outcome.score < system.config().detection_threshold) {
+    if (outcome.score < system_.config().detection_threshold) {
       event.verdict = Verdict::kAttackDetected;
       ++stats_.attacks_detected;
     } else {
@@ -105,211 +71,44 @@ ScoreOutcome DefenseSession::score_with_retries(
     }
   } else {
     event.verdict = Verdict::kIndeterminate;
-    event.score = nan_score();
     event.note = outcome_note(outcome);
     ++stats_.indeterminate;
-    if (outcome.status == ScoreStatus::kDeadlineExceeded) {
-      ++stats_.deadline_exceeded;
-    }
   }
-  return outcome;
+  ++stats_.processed;
+  log_.push_back(event);
 }
 
-void DefenseSession::run_policy(SessionEvent& event, const Signal& va,
-                                const Signal& wearable,
-                                const Segmenter* segmenter, Rng& rng,
-                                const std::uint64_t* deadline_at_us) {
-  // Breaker routing: while the primary pipeline is unhealthy, score in the
-  // cheaper degraded mode instead of failing the same way again. Half-open
-  // probes come back as allow_primary() == true.
-  const DefenseSystem* route = &system_;
-  if (breaker_.has_value() && !breaker_->allow_primary()) {
-    route = &*degraded_system_;
-    event.degraded = true;
-    ++stats_.degraded;
-  }
-
-  Deadline deadline_storage;
-  const Deadline* deadline = nullptr;
-  if (deadline_at_us != nullptr) {
-    // Absolute expiry set by the caller (the budget started at submission,
-    // not at dequeue): queue time already consumed part of it.
-    deadline_storage = Deadline(clock(), *deadline_at_us);
-    deadline = &deadline_storage;
-  } else if (policy_.deadline_us.has_value()) {
-    deadline_storage = Deadline::after(clock(), *policy_.deadline_us);
-    deadline = &deadline_storage;
-  }
-
-  const Rng base = rng;  // entry-point stream, for retry/backoff forks
-  const ScoreOutcome outcome = score_with_retries(
-      event, *route, va, wearable, segmenter, base, rng, deadline);
-
-  if (breaker_.has_value() && route == &system_) {
-    // Only hard failures indict the pipeline: stage errors keyed by the
-    // failing stage, deadline expiry under its own key. Quality-gated
-    // (kIndeterminate) trials are the input's fault and stay neutral —
-    // but a half-open probe that ends indeterminate must still release
-    // the probe slot, which record_indeterminate does without closing.
-    if (outcome.status == ScoreStatus::kError ||
-        outcome.status == ScoreStatus::kDeadlineExceeded) {
-      breaker_->record_failure(outcome.reason);
-    } else if (outcome.status == ScoreStatus::kOk) {
-      breaker_->record_success();
-    } else {
-      breaker_->record_indeterminate();
-    }
-  }
-  if (event.degraded && event.note.empty()) {
-    event.note = std::string("degraded: breaker open (") +
-                 breaker_->tripped_stage() + ")";
-  }
+void DefenseSession::reject_absent(SessionEvent& event) {
+  // Threat-model policy (Sec. II): "Our defense system rejects voice
+  // commands at the VA if the wearable device is absent."
+  event.verdict = Verdict::kWearableAbsent;
+  ++stats_.wearable_absent;
+  ++stats_.processed;
+  log_.push_back(event);
 }
 
 SessionEvent DefenseSession::process(
     const std::string& label, const Signal& va_recording,
     const std::optional<Signal>& wearable_recording,
     const Segmenter* segmenter, Rng& rng) {
-  SessionEvent event;
-  event.index = log_.size();
-  event.label = label;
-  event.score = nan_score();
-
+  SessionEvent event = open_event(label);
   if (!wearable_recording.has_value()) {
-    // Threat-model policy (Sec. II): "Our defense system rejects voice
-    // commands at the VA if the wearable device is absent."
-    event.verdict = Verdict::kWearableAbsent;
-    ++stats_.wearable_absent;
-  } else {
-    run_policy(event, va_recording, *wearable_recording, segmenter, rng);
-  }
-  ++stats_.processed;
-  log_.push_back(event);
-  return event;
-}
-
-SessionEvent DefenseSession::process_streaming(
-    const std::string& label, const Signal& va_recording,
-    const std::optional<Signal>& wearable_recording, const Segmenter* segmenter,
-    Rng& rng, const StreamingConfig& streaming, std::size_t frame_samples) {
-  VIBGUARD_REQUIRE(frame_samples > 0, "frame size must be positive");
-  SessionEvent event;
-  event.index = log_.size();
-  event.label = label;
-  event.score = nan_score();
-
-  if (!wearable_recording.has_value()) {
-    event.verdict = Verdict::kWearableAbsent;
-    ++stats_.wearable_absent;
-    ++stats_.processed;
-    log_.push_back(event);
+    reject_absent(event);
     return event;
   }
-
-  Deadline deadline_storage;
-  const Deadline* deadline = nullptr;
-  if (policy_.deadline_us.has_value()) {
-    deadline_storage = Deadline::after(clock(), *policy_.deadline_us);
-    deadline = &deadline_storage;
-  }
-
-  streaming_.set_config(streaming);
-  streaming_.begin(va_recording.sample_rate(), segmenter, rng, &trace_,
-                   deadline);
-  const Signal& wear = *wearable_recording;
-  const std::size_t total =
-      std::max(va_recording.size(), wear.size());
-  std::size_t offset = 0;
-  while (offset < total) {
-    const auto frame_of = [&](const Signal& s) {
-      const std::size_t begin = std::min(offset, s.size());
-      const std::size_t end = std::min(offset + frame_samples, s.size());
-      return s.samples().subspan(begin, end - begin);
-    };
-    const StreamStatus st =
-        streaming_.push(frame_of(va_recording), frame_of(wear));
-    offset += frame_samples;
-    // The stopping rule (or a mid-stream quality failure) rendered the
-    // verdict: the remaining frames are never consumed.
-    if (st.verdict != StreamVerdict::kPending) break;
-  }
-  const StreamOutcome out = streaming_.finalize();
+  const Rng base = rng;
+  const ScoreOutcome outcome =
+      system_.try_score(va_recording, *wearable_recording, segmenter, rng,
+                        workspace_, &trace_);
   pipeline_stats_.add(trace_);
-
-  event.early_exit = out.early_exit;
-  event.stream_fraction =
-      std::min(1.0, static_cast<double>(out.pushed_va_samples) /
-                        static_cast<double>(va_recording.size()));
-  if (out.early_exit) {
-    // The anytime layer's calibrated posterior made the call; the
-    // provisional score is on its own scale, so the threshold test does
-    // not apply.
-    ++stats_.early_exits;
-    event.score = out.provisional_score;
-    event.note = stream_verdict_name(out.verdict);
-    if (out.verdict == StreamVerdict::kAttackEarly) {
-      event.verdict = Verdict::kAttackDetected;
-      ++stats_.attacks_detected;
-    } else {
-      event.verdict = Verdict::kAccepted;
-      ++stats_.accepted;
-    }
-  } else if (out.outcome.ok()) {
-    event.score = out.outcome.score;
-    if (event.score < system_.config().detection_threshold) {
-      event.verdict = Verdict::kAttackDetected;
-      ++stats_.attacks_detected;
-    } else {
-      event.verdict = Verdict::kAccepted;
-      ++stats_.accepted;
-    }
-  } else {
-    event.verdict = Verdict::kIndeterminate;
-    event.note = outcome_note(out.outcome);
-    ++stats_.indeterminate;
-    if (out.outcome.status == ScoreStatus::kDeadlineExceeded) {
-      ++stats_.deadline_exceeded;
-    }
-  }
-  ++stats_.processed;
-  log_.push_back(event);
+  settle(event, outcome, va_recording, *wearable_recording, segmenter, base);
   return event;
 }
 
 std::vector<SessionEvent> DefenseSession::process_batch(
     std::span<const SessionRequest> requests) {
-  // Deadlines, breaker routing and backoff are stateful per command, so
-  // when any of them is active the batch must walk the commands in order
-  // through the same policy path process() uses — equivalence with
-  // sequential processing is the API contract.
-  const bool serving_features =
-      breaker_.has_value() || policy_.deadline_us.has_value() ||
-      (clock_ != nullptr && policy_.backoff.base_us > 0);
-  if (serving_features) {
-    std::vector<SessionEvent> events;
-    events.reserve(requests.size());
-    for (const SessionRequest& req : requests) {
-      VIBGUARD_REQUIRE(req.va != nullptr, "session request needs a VA signal");
-      SessionEvent event;
-      event.index = log_.size();
-      event.label = req.label;
-      event.score = nan_score();
-      if (req.wearable == nullptr) {
-        event.verdict = Verdict::kWearableAbsent;
-        ++stats_.wearable_absent;
-      } else {
-        Rng rng = req.rng;
-        run_policy(event, *req.va, *req.wearable, req.segmenter, rng);
-      }
-      ++stats_.processed;
-      log_.push_back(event);
-      events.push_back(event);
-    }
-    return events;
-  }
-
-  // Default-policy fast path: score the wearable-present commands in one
-  // batch pass, then emit the audit-log entries in request order.
+  // Score the wearable-present commands in one batch pass, then emit the
+  // audit-log entries in request order.
   std::vector<ScoreRequest> to_score;
   to_score.reserve(requests.size());
   for (const SessionRequest& req : requests) {
@@ -325,134 +124,14 @@ std::vector<SessionEvent> DefenseSession::process_batch(
   std::vector<SessionEvent> events;
   events.reserve(requests.size());
   std::size_t next_scored = 0;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const SessionRequest& req = requests[i];
-    SessionEvent event;
-    event.index = log_.size();
-    event.label = req.label;
-    event.score = nan_score();
+  for (const SessionRequest& req : requests) {
+    SessionEvent event = open_event(req.label);
     if (req.wearable == nullptr) {
-      event.verdict = Verdict::kWearableAbsent;
-      ++stats_.wearable_absent;
+      reject_absent(event);
     } else {
-      ScoreOutcome outcome = outcomes[next_scored++];
-      // Retry unscoreable commands exactly as process() does: forks of the
-      // request's own stream, so batch and sequential processing agree.
-      for (std::size_t attempt = 1;
-           !outcome.ok() && attempt <= policy_.max_retries; ++attempt) {
-        Rng retry_rng = req.rng.fork(kRetryForkLabel + attempt);
-        outcome = system_.try_score(*req.va, *req.wearable, req.segmenter,
-                                    retry_rng, workspace_, &trace_);
-        pipeline_stats_.add(trace_);
-        ++stats_.retries;
-        event.attempts = attempt + 1;
-      }
-      if (outcome.ok()) {
-        event.score = outcome.score;
-        if (event.score < system_.config().detection_threshold) {
-          event.verdict = Verdict::kAttackDetected;
-          ++stats_.attacks_detected;
-        } else {
-          event.verdict = Verdict::kAccepted;
-          ++stats_.accepted;
-        }
-      } else {
-        event.verdict = Verdict::kIndeterminate;
-        event.note = outcome_note(outcome);
-        ++stats_.indeterminate;
-      }
+      settle(event, outcomes[next_scored++], *req.va, *req.wearable,
+             req.segmenter, req.rng);
     }
-    ++stats_.processed;
-    log_.push_back(event);
-    events.push_back(event);
-  }
-  return events;
-}
-
-std::vector<SessionEvent> DefenseSession::process_admitted(
-    std::span<const SessionRequest> requests,
-    serving::AdmissionController& admission) {
-  std::vector<SessionEvent> events;
-  events.reserve(requests.size());
-  PipelineStats::QueueStats& q = pipeline_stats_.queue;
-
-  // Submission pass: a burst of `requests` arrives at once; whatever does
-  // not fit the bounded queue is rejected immediately — explicit
-  // backpressure, logged but never scored. With a deadline policy the
-  // per-command budget starts here, at submission: time spent waiting in
-  // the queue is part of the budget, not free.
-  std::vector<std::uint64_t> deadline_at;
-  if (policy_.deadline_us.has_value()) {
-    deadline_at.resize(requests.size(), 0);
-  }
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    VIBGUARD_REQUIRE(requests[i].va != nullptr,
-                     "session request needs a VA signal");
-    if (admission.try_admit(i)) {
-      ++q.admitted;
-      if (!deadline_at.empty()) {
-        deadline_at[i] = clock().now_us() + *policy_.deadline_us;
-      }
-      continue;
-    }
-    ++q.rejected;
-    SessionEvent event;
-    event.index = log_.size();
-    event.label = requests[i].label;
-    event.verdict = Verdict::kRejectedOverload;
-    event.score = nan_score();
-    event.note = "queue_full";
-    ++stats_.rejected_overload;
-    ++stats_.processed;
-    log_.push_back(event);
-    events.push_back(event);
-  }
-
-  // Drain pass: FIFO through the ordinary per-command policy path. A
-  // command whose submission-time budget already expired while it sat in
-  // the queue is dropped without scoring — counted as expired, never as a
-  // service dequeue, so it cannot pollute the queue-time means — and its
-  // drop is not a pipeline failure, so the breaker never hears about it.
-  while (auto head = admission.peek()) {
-    if (!deadline_at.empty() && clock().now_us() >= deadline_at[*head]) {
-      const auto expired = admission.next_expired();
-      const SessionRequest& req = requests[expired->request_id];
-      SessionEvent event;
-      event.index = log_.size();
-      event.label = req.label;
-      event.verdict = Verdict::kIndeterminate;
-      event.score = nan_score();
-      event.note = "deadline_expired_in_queue";
-      event.queue_us = expired->queue_us;
-      ++q.expired;
-      ++stats_.indeterminate;
-      ++stats_.deadline_exceeded;
-      ++stats_.processed;
-      log_.push_back(event);
-      events.push_back(event);
-      continue;
-    }
-    const auto admitted = admission.next();
-    const SessionRequest& req = requests[admitted->request_id];
-    SessionEvent event;
-    event.index = log_.size();
-    event.label = req.label;
-    event.score = nan_score();
-    event.queue_us = admitted->queue_us;
-    ++q.dequeued;
-    q.total_queue_us += admitted->queue_us;
-    q.max_queue_us = std::max(q.max_queue_us, admitted->queue_us);
-    if (req.wearable == nullptr) {
-      event.verdict = Verdict::kWearableAbsent;
-      ++stats_.wearable_absent;
-    } else {
-      Rng rng = req.rng;
-      const std::uint64_t* at =
-          deadline_at.empty() ? nullptr : &deadline_at[admitted->request_id];
-      run_policy(event, *req.va, *req.wearable, req.segmenter, rng, at);
-    }
-    ++stats_.processed;
-    log_.push_back(event);
     events.push_back(event);
   }
   return events;
@@ -462,9 +141,6 @@ void DefenseSession::reset() {
   log_.clear();
   stats_ = SessionStats{};
   pipeline_stats_.clear();
-  if (breaker_.has_value()) {
-    breaker_.emplace(*policy_.breaker, clock());
-  }
 }
 
 }  // namespace vibguard::core

@@ -2,34 +2,21 @@
 //
 // Wraps DefenseSystem with the deployment rules from the paper's threat
 // model (Sec. II): commands are REJECTED outright when the paired wearable
-// is absent, every decision is recorded in an audit log, and running
-// statistics are kept for monitoring.
+// is absent, unscoreable commands are retried, every decision is recorded
+// in an audit log, and running statistics are kept for monitoring.
 //
-// On top of the threat-model policy the session implements the serving-side
-// overload toolkit (src/serving/): per-command deadline budgets with
-// cooperative cancellation, retry with decorrelated exponential backoff, a
-// per-stage circuit breaker that routes commands to a cheaper degraded
-// DefenseMode while the primary pipeline is unhealthy (with half-open
-// probing), and admission-controlled batch processing with explicit
-// reject-on-full backpressure. All time flows through an injectable Clock,
-// so every one of those behaviors is deterministic under a VirtualClock;
-// with the default policy (no deadline, no breaker) no clock is ever read
-// and verdicts are bit-identical to the policy-free build.
+// Overload handling (bounded queues, deadlines, circuit breaking, degraded
+// routing) is not the session's job: serving::Server owns it, and a
+// one-worker server is the single serving node.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "common/clock.hpp"
 #include "core/pipeline.hpp"
-#include "core/streaming.hpp"
-#include "serving/admission.hpp"
-#include "serving/backoff.hpp"
-#include "serving/circuit_breaker.hpp"
 
 namespace vibguard::core {
 
@@ -39,15 +26,10 @@ enum class Verdict {
   kAttackDetected,
   kWearableAbsent,
   /// The command could not be scored trustworthily (quality gate halted,
-  /// degenerate features, a pipeline error, or an expired deadline budget)
-  /// even after the configured retries. Distinct from kAttackDetected: the
-  /// integration should re-request the command rather than treat the user
-  /// as hostile.
+  /// degenerate features, or a pipeline error) even after the configured
+  /// retries. Distinct from kAttackDetected: the integration should
+  /// re-request the command rather than treat the user as hostile.
   kIndeterminate,
-  /// Admission control rejected the command because the request queue was
-  /// full (overload backpressure). The command was never scored; the
-  /// integration should re-request it after backing off.
-  kRejectedOverload,
 };
 
 const char* verdict_name(Verdict verdict);
@@ -57,33 +39,8 @@ struct SessionPolicy {
   /// How many times an unscoreable command is re-scored (modeling a
   /// re-request) before the session settles on kIndeterminate. Retries draw
   /// from a decorrelated fork of the command's rng stream, so they are
-  /// deterministic but independent of the first attempt. Deadline-exceeded
-  /// attempts are never retried: the budget covers the whole command.
+  /// deterministic but independent of the first attempt.
   std::size_t max_retries = 1;
-
-  /// Wait between retry attempts (decorrelated exponential backoff, see
-  /// serving/backoff.hpp). Delays are drawn from a dedicated fork of the
-  /// command's rng stream — never the scoring streams — and waited on the
-  /// session clock; when the session has no clock, no wait happens and no
-  /// draw is made. Waits are clipped to the command's remaining deadline.
-  serving::BackoffPolicy backoff;
-
-  /// Per-command time budget in microseconds, covering all attempts of the
-  /// command. Requires a session clock; nullopt (the default) disables
-  /// deadlines and reads no clock.
-  std::optional<std::uint64_t> deadline_us;
-
-  /// Circuit-breaker configuration. nullopt (the default) disables the
-  /// breaker; when set, consecutive hard failures (stage errors, deadline
-  /// expiry) of one pipeline stage trip the breaker and subsequent commands
-  /// are scored in `degraded_mode` until a half-open probe succeeds.
-  std::optional<serving::BreakerConfig> breaker;
-
-  /// The cheaper DefenseMode used while the breaker is open. The default —
-  /// the audio-only 2-D correlation arm — skips segmentation and the
-  /// vibration-domain capture entirely, so it keeps answering within budget
-  /// when those stages are the ones failing.
-  DefenseMode degraded_mode = DefenseMode::kAudioBaseline;
 };
 
 /// One processed command in the audit log.
@@ -92,22 +49,8 @@ struct SessionEvent {
   std::string label;    ///< caller-provided description (e.g. command text)
   Verdict verdict;
   double score;          ///< correlation score; NaN when not computed
-  std::string note;      ///< why kIndeterminate / breaker-degradation note
+  std::string note;      ///< why kIndeterminate
   std::size_t attempts = 1;  ///< scoring attempts (1 + retries used)
-  /// True when the circuit breaker routed this command to the degraded
-  /// DefenseMode instead of the primary pipeline.
-  bool degraded = false;
-  /// Microseconds spent waiting in the admission queue (admission-controlled
-  /// batch processing only).
-  std::uint64_t queue_us = 0;
-  /// Total backoff wait before retries, on the session clock.
-  std::uint64_t backoff_us = 0;
-  /// True when the streaming stopping rule rendered the verdict before the
-  /// full command was consumed (process_streaming only).
-  bool early_exit = false;
-  /// Fraction of the command's samples consumed before the verdict
-  /// (process_streaming only; 1.0 elsewhere).
-  double stream_fraction = 1.0;
 };
 
 /// Aggregate statistics of a session.
@@ -118,10 +61,6 @@ struct SessionStats {
   std::size_t wearable_absent = 0;
   std::size_t indeterminate = 0;
   std::size_t retries = 0;  ///< extra scoring attempts across all commands
-  std::size_t deadline_exceeded = 0;  ///< commands whose budget expired
-  std::size_t degraded = 0;           ///< commands routed to degraded mode
-  std::size_t rejected_overload = 0;  ///< commands refused by admission
-  std::size_t early_exits = 0;        ///< streaming early-exit verdicts
 };
 
 /// One command for DefenseSession::process_batch. Signals are borrowed and
@@ -138,12 +77,7 @@ struct SessionRequest {
 /// Stateful defense endpoint for a stream of commands.
 class DefenseSession {
  public:
-  /// `clock` drives deadlines, backoff waits and breaker cooldowns; it is
-  /// borrowed and must outlive the session. nullptr selects the process
-  /// SteadyClock when a policy feature needs time — the default policy
-  /// never reads any clock.
-  explicit DefenseSession(DefenseConfig config = {}, SessionPolicy policy = {},
-                          const Clock* clock = nullptr);
+  explicit DefenseSession(DefenseConfig config = {}, SessionPolicy policy = {});
 
   const SessionPolicy& policy() const { return policy_; }
 
@@ -153,22 +87,6 @@ class DefenseSession {
                        const std::optional<Signal>& wearable_recording,
                        const Segmenter* segmenter, Rng& rng);
 
-  /// Processes one command through the incremental push pipeline
-  /// (core/streaming.hpp), feeding both recordings in interleaved frames of
-  /// `frame_samples`. When `streaming.stop` is enabled and fires, the
-  /// remaining frames are never consumed: the event carries the anytime
-  /// verdict, early_exit = true and the consumed stream_fraction. Without
-  /// an early exit the command finalizes per `streaming.finalize` — the
-  /// default exact-batch mode renders a verdict bit-identical to process()
-  /// with the same rng. Deadline budgets apply as in process(); breaker
-  /// routing and retries do not (a stream is consumed once).
-  SessionEvent process_streaming(const std::string& label,
-                                 const Signal& va_recording,
-                                 const std::optional<Signal>& wearable_recording,
-                                 const Segmenter* segmenter, Rng& rng,
-                                 const StreamingConfig& streaming,
-                                 std::size_t frame_samples = 1024);
-
   /// Processes a batch of commands through the batch scoring API.
   /// Equivalent to calling process() per element (same audit-log entries,
   /// statistics and scores); wearable-absent requests are rejected without
@@ -176,77 +94,32 @@ class DefenseSession {
   std::vector<SessionEvent> process_batch(
       std::span<const SessionRequest> requests);
 
-  /// Admission-controlled batch processing: every request is first offered
-  /// to `admission` in order — requests that do not fit its bounded queue
-  /// are rejected immediately with Verdict::kRejectedOverload (explicit
-  /// backpressure, logged but never scored) — then the admitted requests
-  /// are drained FIFO through the ordinary per-command policy path. Each
-  /// scored event carries its queue time, and the admission/queue-time
-  /// aggregates are folded into pipeline_stats().queue. The audit log
-  /// records rejections first (at submission time), then the drained
-  /// commands in FIFO order. With a deadline policy the budget starts at
-  /// submission: a command whose budget expires while queued is dropped as
-  /// kIndeterminate ("deadline_expired_in_queue") without being scored,
-  /// counted in queue.expired rather than the service-dequeue aggregates.
-  std::vector<SessionEvent> process_admitted(
-      std::span<const SessionRequest> requests,
-      serving::AdmissionController& admission);
-
   const std::vector<SessionEvent>& log() const { return log_; }
   const SessionStats& stats() const { return stats_; }
   const DefenseSystem& system() const { return system_; }
 
-  /// The degraded-mode system commands are routed to while the breaker is
-  /// open; nullptr when the policy has no breaker.
-  const DefenseSystem* degraded_system() const {
-    return degraded_system_.has_value() ? &*degraded_system_ : nullptr;
-  }
-
-  /// The session's circuit breaker; nullptr when the policy has none.
-  const serving::CircuitBreaker* breaker() const {
-    return breaker_.has_value() ? &*breaker_ : nullptr;
-  }
-
   /// Per-stage pipeline aggregates over every command scored so far.
   const PipelineStats& pipeline_stats() const { return pipeline_stats_; }
 
-  /// Clears the audit log, all statistics and the breaker state.
+  /// Clears the audit log and all statistics.
   void reset();
 
  private:
-  /// The session clock (policy features only; never read by default).
-  const Clock& clock() const {
-    return clock_ != nullptr ? *clock_ : SteadyClock::instance();
-  }
+  /// Starts the audit-log entry for the next command.
+  SessionEvent open_event(const std::string& label) const;
 
-  /// Full policy path for one wearable-present command: breaker routing,
-  /// deadline budget, retry with backoff. Fills the event (except index)
-  /// and updates scoring statistics; the caller logs it. When
-  /// `deadline_at_us` is non-null it is the command's absolute expiry on
-  /// the session clock (a budget that started at submission, e.g. while
-  /// the command sat in an admission queue) and overrides the per-command
-  /// policy deadline.
-  void run_policy(SessionEvent& event, const Signal& va,
-                  const Signal& wearable, const Segmenter* segmenter,
-                  Rng& rng, const std::uint64_t* deadline_at_us = nullptr);
+  /// Retries an unscoreable first `outcome` on forks of `base` (the
+  /// command's rng stream at entry), settles the verdict, counts it and
+  /// appends the event to the log.
+  void settle(SessionEvent& event, ScoreOutcome outcome, const Signal& va,
+              const Signal& wearable, const Segmenter* segmenter,
+              const Rng& base);
 
-  /// Scores one command on `system` with retry-on-unscoreable and backoff,
-  /// filling the event's score-related fields. `base` is the command's rng
-  /// stream at entry (retries and backoff fork from it); `rng` is the
-  /// stream attempt 0 consumes. Returns the final outcome (for breaker
-  /// accounting).
-  ScoreOutcome score_with_retries(SessionEvent& event,
-                                  const DefenseSystem& system,
-                                  const Signal& va, const Signal& wearable,
-                                  const Segmenter* segmenter, const Rng& base,
-                                  Rng& rng, const Deadline* deadline);
+  /// Records a wearable-absent rejection (never scored).
+  void reject_absent(SessionEvent& event);
 
   DefenseSystem system_;
-  StreamingPipeline streaming_;
   SessionPolicy policy_;
-  const Clock* clock_ = nullptr;
-  std::optional<DefenseSystem> degraded_system_;
-  std::optional<serving::CircuitBreaker> breaker_;
   Workspace workspace_;
   PipelineTrace trace_;
   PipelineStats pipeline_stats_;

@@ -61,18 +61,11 @@ void PipelineStats::merge(const PipelineStats& other) {
     it->total_allocations += os.total_allocations;
     it->last_seen = 0;
   }
-  queue.admitted += other.queue.admitted;
-  queue.rejected += other.queue.rejected;
-  queue.dequeued += other.queue.dequeued;
-  queue.expired += other.queue.expired;
-  queue.total_queue_us += other.queue.total_queue_us;
-  queue.max_queue_us = std::max(queue.max_queue_us, other.queue.max_queue_us);
 }
 
 void PipelineStats::clear() {
   commands = 0;
   stages.clear();
-  queue = QueueStats{};
 }
 
 std::string PipelineStats::summary() const {
@@ -96,17 +89,6 @@ std::string PipelineStats::summary() const {
                   s.mean_wall_per_trial_us(),
                   static_cast<unsigned long long>(s.max_wall_us),
                   static_cast<unsigned long long>(s.total_allocations));
-    out += line;
-  }
-  if (queue.admitted + queue.rejected > 0) {
-    std::snprintf(line, sizeof(line),
-                  "  queue: %llu admitted, %llu rejected, %llu expired, "
-                  "mean wait %.1f us, max wait %llu us\n",
-                  static_cast<unsigned long long>(queue.admitted),
-                  static_cast<unsigned long long>(queue.rejected),
-                  static_cast<unsigned long long>(queue.expired),
-                  queue.mean_queue_us(),
-                  static_cast<unsigned long long>(queue.max_queue_us));
     out += line;
   }
   return out;

@@ -102,26 +102,8 @@ struct PipelineStats {
     std::uint64_t last_seen = 0;
   };
 
-  /// Admission-control and queue-time aggregates (filled by the serving
-  /// layer's admission-controlled processing; all-zero otherwise).
-  struct QueueStats {
-    std::uint64_t admitted = 0;
-    std::uint64_t rejected = 0;  ///< refused on full queue (backpressure)
-    std::uint64_t dequeued = 0;  ///< dequeued for service (excludes expired)
-    std::uint64_t expired = 0;   ///< dropped: deadline passed while queued
-    std::uint64_t total_queue_us = 0;  ///< summed over dequeued requests
-    std::uint64_t max_queue_us = 0;
-
-    double mean_queue_us() const {
-      return dequeued > 0 ? static_cast<double>(total_queue_us) /
-                                static_cast<double>(dequeued)
-                          : 0.0;
-    }
-  };
-
   std::uint64_t commands = 0;
   std::vector<StageStats> stages;  ///< first-seen stage order
-  QueueStats queue;
 
   /// Folds one command's stage records into the aggregates.
   void add(const PipelineTrace& trace);

@@ -1,10 +1,11 @@
 // Chaos sweep: fleet behavior under injected worker faults.
 //
 // Replays the shared sweep population (eval/sweep_population.hpp) through
-// the sharded serving::Server on a VirtualClock — the fleet sweep's
-// discrete-event machinery — while a seeded faults::ChaosController
-// injects worker failures (stall / crash / slow / lossy) and a
-// serving::Supervisor watches heartbeats and fails dead workers over.
+// the sharded serving::Server on a VirtualClock — replay_fleet, the one
+// discrete-event loop the fleet sweep runs too — while a seeded
+// faults::ChaosController injects worker failures (stall / crash / slow /
+// lossy) and a serving::Supervisor watches heartbeats and fails dead
+// workers over.
 // Each scenario row reports the full request accounting (every arrival
 // ends in exactly one bucket: rejected, answered, expired, dropped in
 // migration, or reply lost — `accounted` pins that the buckets sum to
@@ -15,9 +16,8 @@
 // Everything is deterministic in (seed, chaos_seed): the population, the
 // arrivals, the fault windows, the supervisor's poll-by-poll decisions
 // and the resulting migrations replay bit-identically — a chaos run is a
-// regression test, not a dice roll. With an empty plan the scores are
-// bit-identical to a fault-free fleet at the same seed (the fleet
-// determinism contract).
+// regression test, not a dice roll. A fleet-sweep cell is a replay with an
+// empty plan, remediation off and no growth.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "eval/load_sweep.hpp"
+#include "eval/sweep_population.hpp"
 #include "faults/serving_faults.hpp"
 #include "serving/supervisor.hpp"
 
@@ -172,5 +173,28 @@ struct ChaosSweepResult {
 /// virtual, nothing sleeps.
 ChaosSweepResult run_chaos_sweep(const ChaosSweepConfig& config,
                                  std::uint64_t seed);
+
+/// What one replay measured: the full chaos accounting, plus the shard
+/// aggregates only the fleet table prints.
+struct FleetReplay {
+  ChaosSweepPoint point;
+  std::uint64_t batches = 0;
+  std::uint64_t batched_items = 0;
+  std::uint64_t dequeued = 0;        ///< service dequeues (not expired)
+  std::uint64_t total_queue_us = 0;  ///< summed over those dequeues
+  std::uint64_t makespan_us = 0;     ///< when the last batch finished
+};
+
+/// The discrete-event loop behind both serving sweeps: replays `pop` at
+/// `arrival_us` through a `config.workers`-worker serving::Server under
+/// `scenario`, event by event on a VirtualClock. Shape, service model and
+/// supervisor come from `config` (its load, scenario list and filter are
+/// the caller's business); `tenant_max_queued` is the per-shard tenant
+/// quota. Deterministic in its inputs.
+FleetReplay replay_fleet(const SweepPopulation& pop,
+                         const std::vector<std::uint64_t>& arrival_us,
+                         const ChaosSweepConfig& config,
+                         const ChaosScenario& scenario,
+                         std::size_t tenant_max_queued = SIZE_MAX);
 
 }  // namespace vibguard::eval

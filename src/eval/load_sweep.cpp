@@ -1,206 +1,19 @@
 #include "eval/load_sweep.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <limits>
 
-#include "common/clock.hpp"
 #include "common/error.hpp"
-#include "core/segmentation.hpp"
-#include "eval/metrics.hpp"
+#include "eval/chaos_sweep.hpp"
 #include "eval/sweep_population.hpp"
-#include "serving/server.hpp"
 
 namespace vibguard::eval {
+namespace {
 
-// The population renderer, the Poisson arrival process and the EER
-// guard live in eval/sweep_population.{hpp,cpp} — shared with the chaos
-// sweep so rows are comparable trial for trial across all three sweeps.
-using Population = SweepPopulation;
-
-std::string LoadSweepResult::summary() const {
-  std::string out = "load sweep\n";
-  char line[200];
-  std::snprintf(line, sizeof(line),
-                "  %7s %5s %6s %6s %7s %8s %8s %6s %5s %10s %8s %8s\n",
-                "rps", "arr", "reject", "dlmiss", "primary", "degraded",
-                "indeterm", "error", "trips", "queue us", "EERpri",
-                "EERdeg");
-  out += line;
-  for (const LoadSweepPoint& p : points) {
-    std::snprintf(line, sizeof(line),
-                  "  %7.1f %5zu %6zu %6zu %7zu %8zu %8zu %6zu %5zu %10.0f "
-                  "%8.3f %8.3f\n",
-                  p.offered_rps, p.arrivals, p.rejected, p.deadline_missed,
-                  p.scored_primary, p.scored_degraded, p.indeterminate,
-                  p.errors, p.breaker_trips, p.mean_queue_us, p.eer_primary,
-                  p.eer_degraded);
-    out += line;
-  }
-  return out;
+double ratio(std::uint64_t num, std::uint64_t den) {
+  return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
 }
 
-LoadSweepResult run_load_sweep(const LoadSweepConfig& config,
-                               std::uint64_t seed) {
-  Population pop;
-  render_sweep_population(config, seed, pop);
-  const std::vector<TrialRecordings>& trials = pop.trials;
-  const std::vector<core::OracleSegmenter>& oracles = pop.oracles;
-  const std::vector<std::size_t>& order = pop.order;
-
-  const core::DefenseSystem primary(pop.primary_cfg);
-  core::DefenseConfig degraded_cfg = pop.primary_cfg;
-  degraded_cfg.mode = config.degraded_mode;
-  const core::DefenseSystem degraded(degraded_cfg);
-
-  const Rng& score_rng = pop.score_rng;
-
-  core::Workspace workspace;
-  LoadSweepResult result;
-
-  for (std::size_t p_idx = 0; p_idx < config.offered_rps.size(); ++p_idx) {
-    const double rps = config.offered_rps[p_idx];
-    const std::vector<std::uint64_t> arrival_us =
-        poisson_arrivals(pop.arrival_rng, p_idx, rps, order.size());
-
-    // One single-server serving node, simulated event by event in time
-    // order on a virtual clock. `server_free_us` is the completion time of
-    // the request in service; the clock itself tracks the latest processed
-    // event (an arrival or a service start), so queue times and breaker
-    // cooldowns are exact without ever sleeping.
-    VirtualClock clock;
-    serving::AdmissionController admission({config.queue_capacity}, clock);
-    serving::CircuitBreaker breaker(config.breaker, clock);
-    std::vector<std::uint64_t> deadline_at(order.size(), 0);
-    std::uint64_t server_free_us = 0;
-
-    LoadSweepPoint point;
-    point.offered_rps = rps;
-    point.arrivals = order.size();
-    std::uint64_t total_queue_us = 0;
-    std::size_t served = 0;
-    std::vector<double> legit_pri, attack_pri, legit_deg, attack_deg;
-
-    std::size_t next_arrival = 0;
-    while (next_arrival < order.size() || admission.depth() > 0) {
-      const bool have_arrival = next_arrival < order.size();
-      // Serve the queue head whenever its start would precede the next
-      // arrival (departures at equal times win the tie, freeing queue
-      // space before the arrival is offered).
-      if (admission.depth() > 0 &&
-          (!have_arrival || server_free_us <= arrival_us[next_arrival])) {
-        const std::uint64_t start = std::max(server_free_us, clock.now_us());
-        clock.set(start);
-
-        // Expired while queued: dropped before any service is consumed.
-        // Accounted through the expired path — never a service dequeue, so
-        // it cannot pollute the mean queue time of served requests — and
-        // never reported to the breaker: a request that was never run says
-        // nothing about the pipeline's health.
-        if (start >= deadline_at[*admission.peek()]) {
-          admission.next_expired();
-          ++point.deadline_missed;
-          continue;
-        }
-
-        const auto admitted = admission.next();
-        const std::size_t slot = admitted->request_id;
-        const std::size_t t = order[slot];
-        total_queue_us += admitted->queue_us;
-        ++served;
-
-        const bool on_primary = breaker.allow_primary();
-        const core::DefenseSystem& route = on_primary ? primary : degraded;
-        const std::uint64_t service_us =
-            on_primary ? config.service_us_primary : config.service_us_degraded;
-        const std::uint64_t expires = deadline_at[slot];
-
-        // The service time is modeled, so mid-flight expiry cannot be
-        // observed by really running the clock into the deadline (that
-        // would reorder events against later arrivals). Instead the expiry
-        // is decided analytically and, for a doomed request, the pipeline
-        // runs under an already-expired Deadline: cooperative cancellation
-        // trips at the first stage boundary, exactly the observable
-        // behavior of a cancelled command, while the server stays occupied
-        // until the cancellation instant.
-        core::ScoreOutcome outcome;
-        Rng trial_rng = score_rng.fork(t);
-        if (start + service_us > expires) {
-          // Would miss mid-flight: cancelled at the deadline instant.
-          const Deadline dl(clock, start);
-          outcome = route.try_score(trials[t].va, trials[t].wearable,
-                                    &oracles[t], trial_rng, workspace, nullptr,
-                                    &dl);
-          server_free_us = expires;
-        } else {
-          const Deadline dl(clock, expires);
-          outcome = route.try_score(trials[t].va, trials[t].wearable,
-                                    &oracles[t], trial_rng, workspace, nullptr,
-                                    &dl);
-          server_free_us = start + service_us;
-        }
-
-        switch (outcome.status) {
-          case core::ScoreStatus::kOk:
-            if (on_primary) {
-              ++point.scored_primary;
-              (trials[t].is_attack ? attack_pri : legit_pri)
-                  .push_back(outcome.score);
-            } else {
-              ++point.scored_degraded;
-              (trials[t].is_attack ? attack_deg : legit_deg)
-                  .push_back(outcome.score);
-            }
-            break;
-          case core::ScoreStatus::kIndeterminate:
-            ++point.indeterminate;
-            break;
-          case core::ScoreStatus::kError:
-            ++point.errors;
-            break;
-          case core::ScoreStatus::kDeadlineExceeded:
-            ++point.deadline_missed;
-            break;
-        }
-        // Breaker accounting mirrors the session: only primary-route hard
-        // failures indict the pipeline; quality-gated trials stay neutral
-        // (but still release a half-open probe slot).
-        if (on_primary) {
-          if (outcome.status == core::ScoreStatus::kError ||
-              outcome.status == core::ScoreStatus::kDeadlineExceeded) {
-            breaker.record_failure(outcome.reason);
-          } else if (outcome.status == core::ScoreStatus::kOk) {
-            breaker.record_success();
-          } else {
-            breaker.record_indeterminate();
-          }
-        }
-        continue;
-      }
-
-      // Next event is an arrival: offer it to the bounded queue.
-      clock.set(arrival_us[next_arrival]);
-      deadline_at[next_arrival] = arrival_us[next_arrival] + config.deadline_us;
-      if (admission.try_admit(next_arrival)) {
-        ++point.admitted;
-      } else {
-        ++point.rejected;
-      }
-      ++next_arrival;
-    }
-
-    point.breaker_trips = breaker.trips();
-    point.mean_queue_us =
-        served > 0
-            ? static_cast<double>(total_queue_us) / static_cast<double>(served)
-            : 0.0;
-    point.eer_primary = eer_or_nan(attack_pri, legit_pri);
-    point.eer_degraded = eer_or_nan(attack_deg, legit_deg);
-    result.points.push_back(point);
-  }
-  return result;
-}
+}  // namespace
 
 std::string FleetSweepResult::summary() const {
   std::string out = "fleet load sweep\n";
@@ -235,224 +48,63 @@ FleetSweepResult run_fleet_sweep(const FleetSweepConfig& config,
   VIBGUARD_REQUIRE(config.sessions > 0, "need at least one session");
   VIBGUARD_REQUIRE(config.tenants > 0, "need at least one tenant");
 
-  Population pop;
+  SweepPopulation pop;
   render_sweep_population(config.base, seed, pop);
-  const std::size_t num_requests = pop.order.size();
-  constexpr std::uint64_t kSessionIdBase = 0xA000;
+
+  // Every grid cell is a chaos replay with an empty fault plan,
+  // remediation off (the supervisor default) and no growth.
+  ChaosSweepConfig replay;
+  replay.base = config.base;
+  replay.sessions = config.sessions;
+  replay.tenants = config.tenants;
+  replay.batch_max = config.batch_max;
+  replay.batch_window_us = config.batch_window_us;
+  replay.batch_setup_us = config.batch_setup_us;
+  replay.ring_replicas = config.ring_replicas;
+  const ChaosScenario fault_free;
 
   FleetSweepResult result;
-
-  for (const std::size_t num_workers : config.workers) {
+  for (const std::size_t workers : config.workers) {
+    replay.workers = workers;
     for (std::size_t p_idx = 0; p_idx < config.base.offered_rps.size();
          ++p_idx) {
       const double rps = config.base.offered_rps[p_idx];
       // Forked by load index only: every worker count replays the exact
       // same arrival times, so the scaling columns are comparable.
       const std::vector<std::uint64_t> arrival_us =
-          poisson_arrivals(pop.arrival_rng, p_idx, rps, num_requests);
-
-      VirtualClock clock;
-      serving::ServerConfig server_cfg;
-      server_cfg.defense = pop.primary_cfg;
-      server_cfg.degraded_mode = config.base.degraded_mode;
-      server_cfg.workers = num_workers;
-      server_cfg.ring_replicas = config.ring_replicas;
-      server_cfg.shard.queue_capacity = config.base.queue_capacity;
-      server_cfg.shard.batch_max = config.batch_max;
-      server_cfg.shard.batch_window_us = config.batch_window_us;
-      server_cfg.shard.tenant_max_queued = config.tenant_max_queued;
-      server_cfg.shard.breaker = config.base.breaker;
-      server_cfg.deadline_us = config.base.deadline_us;
-      serving::Server server(server_cfg, clock);
-
-      std::vector<serving::SessionHandle> handles(config.sessions);
-      for (std::size_t s = 0; s < config.sessions; ++s) {
-        handles[s] = server.open_session(
-            kSessionIdBase + s, static_cast<std::uint32_t>(s) %
-                                    config.tenants);
-      }
+          poisson_arrivals(pop.arrival_rng, p_idx, rps, pop.order.size());
+      const FleetReplay run = replay_fleet(pop, arrival_us, replay,
+                                           fault_free,
+                                           config.tenant_max_queued);
+      const ChaosSweepPoint& c = run.point;
+      // A fault-free fleet never retires a shard and always drains.
+      VIBGUARD_REQUIRE(c.accounted && c.stranded == 0 &&
+                           c.closed_rejected == 0,
+                       "fault-free fleet replay failed to drain");
 
       FleetSweepPoint point;
-      point.workers = num_workers;
+      point.workers = workers;
       point.offered_rps = rps;
-      point.arrivals = num_requests;
-      std::vector<double> legit_pri, attack_pri, legit_deg, attack_deg;
-      std::uint64_t total_latency_us = 0;
-      std::size_t latency_n = 0;
-      std::uint64_t makespan_us = 0;
-
-      std::vector<std::uint64_t> free_us(num_workers, 0);
-      std::vector<serving::ServedResult> results;
-      std::vector<std::uint64_t> eff;
-
-      const auto total_depth = [&] {
-        std::size_t depth = 0;
-        for (std::size_t w = 0; w < num_workers; ++w) {
-          depth += server.shard(w).depth();
-        }
-        return depth;
-      };
-
-      std::size_t next_arrival = 0;
-      while (next_arrival < num_requests || total_depth() > 0) {
-        // The earliest batch start across workers: a worker can begin when
-        // it is free, its batch window has elapsed (or the batch is full),
-        // and — since queue state only changes at events — never before
-        // the last processed event. Lowest worker index wins time ties.
-        bool have_service = false;
-        std::size_t sw = 0;
-        std::uint64_t s_start = 0;
-        for (std::size_t w = 0; w < num_workers; ++w) {
-          const auto ready = server.shard(w).batch_ready_us();
-          if (!ready.has_value()) continue;
-          const std::uint64_t start =
-              std::max({free_us[w], *ready, clock.now_us()});
-          if (!have_service || start < s_start) {
-            have_service = true;
-            sw = w;
-            s_start = start;
-          }
-        }
-        const bool have_arrival = next_arrival < num_requests;
-
-        if (have_service &&
-            (!have_arrival || s_start <= arrival_us[next_arrival])) {
-          clock.set(s_start);
-          const auto planned = server.form_batch(sw);
-          // s_start >= the shard's ready time and the queue is untouched
-          // since it was computed, so the batch always forms.
-          VIBGUARD_REQUIRE(planned.has_value(), "ready batch failed to form");
-
-          // Walk the batch serially: one setup cost, then per-item
-          // service. Expiry is decided analytically exactly as in the
-          // single-node sweep — a doomed item scores under an
-          // already-expired deadline (cancellation at the first stage
-          // boundary) while the worker stays occupied until the
-          // cancellation instant.
-          std::uint64_t t_us = s_start + config.batch_setup_us;
-          const std::uint64_t service_us =
-              planned->degraded ? config.base.service_us_degraded
-                                : config.base.service_us_primary;
-          eff.clear();
-          for (const serving::WorkItem& item : planned->items) {
-            if (item.expired_in_queue) {
-              ++point.deadline_missed;
-              eff.push_back(item.deadline_at_us);
-              continue;
-            }
-            if (item.deadline_at_us <= t_us) {
-              // Expires before its service begins (earlier batch items
-              // occupy the worker past it): cancelled at zero cost.
-              eff.push_back(s_start);
-              continue;
-            }
-            const std::uint64_t fin = t_us + service_us;
-            if (fin > item.deadline_at_us) {
-              // Mid-flight miss: cancelled at the deadline instant.
-              eff.push_back(s_start);
-              t_us = item.deadline_at_us;
-            } else {
-              eff.push_back(item.deadline_at_us);
-              total_latency_us += fin - item.enqueued_us;
-              ++latency_n;
-              t_us = fin;
-            }
-          }
-          results.clear();
-          server.complete_batch(sw, results, eff);
-          free_us[sw] = t_us;
-          makespan_us = std::max(makespan_us, t_us);
-
-          for (const serving::ServedResult& r : results) {
-            if (r.expired_in_queue) continue;  // counted at formation
-            const std::size_t t = pop.order[r.request_id];
-            switch (r.outcome.status) {
-              case core::ScoreStatus::kOk:
-                if (r.degraded) {
-                  ++point.scored_degraded;
-                  (pop.trials[t].is_attack ? attack_deg : legit_deg)
-                      .push_back(r.outcome.score);
-                } else {
-                  ++point.scored_primary;
-                  (pop.trials[t].is_attack ? attack_pri : legit_pri)
-                      .push_back(r.outcome.score);
-                }
-                break;
-              case core::ScoreStatus::kIndeterminate:
-                ++point.indeterminate;
-                break;
-              case core::ScoreStatus::kError:
-                ++point.errors;
-                break;
-              case core::ScoreStatus::kDeadlineExceeded:
-                ++point.deadline_missed;
-                break;
-            }
-          }
-          continue;
-        }
-
-        // Next event is an arrival: route it to its session's shard.
-        clock.set(arrival_us[next_arrival]);
-        const std::size_t i = next_arrival;
-        const std::size_t t = pop.order[i];
-        const std::size_t s = i % config.sessions;
-        serving::ServerRequest req;
-        req.va = &pop.trials[t].va;
-        req.wearable = &pop.trials[t].wearable;
-        req.segmenter = &pop.oracles[t];
-        req.rng = pop.score_rng.fork(t);
-        req.request_id = i;
-        switch (server.submit(kSessionIdBase + s, handles[s], req)) {
-          case serving::SubmitStatus::kQueued:
-            ++point.admitted;
-            break;
-          case serving::SubmitStatus::kRejectedQueueFull:
-            ++point.rejected;
-            break;
-          case serving::SubmitStatus::kRejectedTenantQuota:
-            ++point.quota_rejected;
-            break;
-          case serving::SubmitStatus::kStaleSession:
-            VIBGUARD_REQUIRE(false, "fleet sweep session went stale");
-          case serving::SubmitStatus::kRejectedClosed:
-            VIBGUARD_REQUIRE(false, "fleet sweep has no retiring shards");
-        }
-        ++next_arrival;
-      }
-
-      // Fold the per-shard accounting into the grid cell.
-      std::uint64_t dequeued = 0;
-      std::uint64_t total_queue_us = 0;
-      std::uint64_t batched_items = 0;
-      for (std::size_t w = 0; w < num_workers; ++w) {
-        const serving::ShardStats stats = server.shard(w).stats();
-        dequeued += stats.admission.dequeued;
-        total_queue_us += stats.admission.total_queue_us;
-        point.batches += stats.batches;
-        batched_items += stats.batched_items;
-        if (server.shard(w).breaker() != nullptr) {
-          point.breaker_trips += server.shard(w).breaker()->trips();
-        }
-      }
-      point.mean_batch =
-          point.batches > 0 ? static_cast<double>(batched_items) /
-                                  static_cast<double>(point.batches)
-                            : 0.0;
-      point.mean_queue_us =
-          dequeued > 0 ? static_cast<double>(total_queue_us) /
-                             static_cast<double>(dequeued)
-                       : 0.0;
-      point.mean_latency_us =
-          latency_n > 0 ? static_cast<double>(total_latency_us) /
-                              static_cast<double>(latency_n)
-                        : 0.0;
+      point.arrivals = c.arrivals;
+      point.admitted = c.admitted;
+      point.rejected = c.rejected;
+      point.quota_rejected = c.quota_rejected;
+      point.deadline_missed = c.deadline_missed;
+      point.scored_primary = c.scored_primary;
+      point.scored_degraded = c.scored_degraded;
+      point.indeterminate = c.indeterminate;
+      point.errors = c.errors;
+      point.breaker_trips = c.breaker_trips;
+      point.batches = run.batches;
+      point.mean_batch = ratio(run.batched_items, run.batches);
+      point.mean_queue_us = ratio(run.total_queue_us, run.dequeued);
       point.throughput_rps =
-          makespan_us > 0 ? static_cast<double>(point.admitted) /
-                                (static_cast<double>(makespan_us) * 1e-6)
-                          : 0.0;
-      point.eer_primary = eer_or_nan(attack_pri, legit_pri);
-      point.eer_degraded = eer_or_nan(attack_deg, legit_deg);
+          run.makespan_us > 0
+              ? static_cast<double>(point.admitted) /
+                    (static_cast<double>(run.makespan_us) * 1e-6)
+              : 0.0;
+      point.eer_primary = c.eer_primary;
+      point.eer_degraded = c.eer_degraded;
       result.points.push_back(point);
     }
   }

@@ -1,17 +1,19 @@
-// Overload sweep: serving behavior and detection quality vs offered load.
+// Load sweep: serving behavior and detection quality vs offered load.
 //
 // Renders one fixed population of legitimate and attack trials, then — for
-// each offered arrival rate — replays the population as a Poisson request
-// stream through a discrete-event simulation of a single-server serving
-// node built from the src/serving/ primitives: a bounded admission queue
-// with reject-on-full backpressure, a per-command deadline budget with
-// cooperative cancellation, and a per-stage circuit breaker that routes
-// commands to the cheap degraded DefenseMode while the primary pipeline is
-// saturated. Service times are modeled (virtual microseconds on a
-// VirtualClock; nothing ever sleeps), while the scores themselves come from
-// the real pipeline, so each sweep point reports both the serving-side
-// rates (accept / reject / deadline-miss / degraded) and the detection
-// quality (EER) of whatever the node actually answered at that load.
+// each worker count and offered arrival rate — replays the population as a
+// Poisson request stream through a sharded serving::Server on a
+// VirtualClock (eval/chaos_sweep.hpp's replay_fleet with no faults). The
+// server brings the whole overload toolkit: bounded per-shard queues with
+// reject-on-full backpressure, a per-request deadline budget with
+// cooperative cancellation, and per-shard circuit breakers that route
+// batches to the cheap degraded DefenseMode while the primary pipeline is
+// saturated. One worker with micro-batching off (batch_max 1, no window,
+// no setup cost) is the single serving node. Service times are modeled
+// (virtual microseconds; nothing ever sleeps), while the scores come from
+// the real pipeline, so each row reports both the serving-side rates
+// (accept / reject / deadline-miss / degraded) and the detection quality
+// (EER) of whatever the fleet actually answered at that load.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +23,6 @@
 #include "attacks/attack.hpp"
 #include "core/pipeline.hpp"
 #include "eval/scenario.hpp"
-#include "serving/admission.hpp"
 #include "serving/circuit_breaker.hpp"
 
 namespace vibguard::eval {
@@ -45,7 +46,7 @@ struct LoadSweepConfig {
   /// Per-request deadline budget from arrival, virtual microseconds.
   std::uint64_t deadline_us = 400'000;
 
-  /// Admission queue bound (reject-on-full beyond it).
+  /// Queue bound per shard (reject-on-full beyond it).
   std::size_t queue_capacity = 8;
 
   /// Breaker tripped by consecutive deadline misses on the primary route.
@@ -55,49 +56,15 @@ struct LoadSweepConfig {
   core::DefenseMode degraded_mode = core::DefenseMode::kAudioBaseline;
 };
 
-/// Results at one offered load.
-struct LoadSweepPoint {
-  double offered_rps = 0.0;
-  std::size_t arrivals = 0;
-  std::size_t admitted = 0;
-  std::size_t rejected = 0;         ///< refused at the full queue
-  std::size_t deadline_missed = 0;  ///< admitted but expired (queue or flight)
-  std::size_t scored_primary = 0;   ///< real scores from the primary mode
-  std::size_t scored_degraded = 0;  ///< real scores from the degraded mode
-  std::size_t indeterminate = 0;    ///< quality-gated / degenerate trials
-  std::size_t errors = 0;           ///< captured per-trial stage errors
-  std::size_t breaker_trips = 0;    ///< closed->open transitions
-  double mean_queue_us = 0.0;       ///< over served requests
-  /// EER per answered route; NaN when either class kept fewer than two
-  /// scores on that route (the curve is meaningless there, not zero).
-  double eer_primary = 0.0;
-  double eer_degraded = 0.0;
-};
-
-struct LoadSweepResult {
-  std::vector<LoadSweepPoint> points;
-
-  /// Multi-line table: one row per offered load.
-  std::string summary() const;
-};
-
-/// Runs the sweep. Deterministic in `seed` (trial rendering, arrival
-/// process, and scoring all derive from it); all time is virtual, so the
-/// run never sleeps and never reads the wall clock.
-LoadSweepResult run_load_sweep(const LoadSweepConfig& config,
-                               std::uint64_t seed);
-
-/// Fleet sweep: the same replayed population, served by a sharded
-/// serving::Server instead of one logical node, across a workers × load
-/// grid. Requests belong to a pool of long-lived sessions placed on
-/// workers by the server's consistent-hash ring; each worker micro-batches
-/// admitted requests into score_batch calls. Because every request scores
-/// from its own rng fork (keyed by trial, not by placement), the scores at
-/// a given load are bit-identical across worker counts and batch windows —
-/// the fleet determinism contract the tests pin.
+/// Fleet sweep: the population served across a workers × load grid.
+/// Requests belong to a pool of long-lived sessions placed on workers by
+/// the server's consistent-hash ring; each worker micro-batches admitted
+/// requests into score_batch calls. Because every request scores from its
+/// own rng fork (keyed by trial, not by placement), the scores at a given
+/// load are bit-identical across worker counts and batch windows — the
+/// fleet determinism contract the tests pin.
 struct FleetSweepConfig {
-  /// Population, service model, queue bound, deadline and breaker are all
-  /// inherited from the single-node sweep so rows are comparable; the
+  /// Population, service model, queue bound, deadline and breaker; the
   /// queue bound and breaker apply per shard.
   LoadSweepConfig base;
 
@@ -138,7 +105,6 @@ struct FleetSweepPoint {
   std::size_t batches = 0;
   double mean_batch = 0.0;
   double mean_queue_us = 0.0;      ///< over service dequeues (not expired)
-  double mean_latency_us = 0.0;    ///< arrival → completion, scored requests
   double throughput_rps = 0.0;     ///< completions per virtual second
   double eer_primary = 0.0;
   double eer_degraded = 0.0;

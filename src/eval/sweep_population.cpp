@@ -40,6 +40,8 @@ void render_sweep_population(const LoadSweepConfig& config,
                              std::uint64_t seed, SweepPopulation& pop) {
   VIBGUARD_REQUIRE(config.num_speakers >= 2,
                    "need at least two speakers (victim + adversary)");
+  VIBGUARD_REQUIRE(config.legit_trials + config.attack_trials > 0,
+                   "sweep population must hold at least one trial");
   VIBGUARD_REQUIRE(!config.offered_rps.empty(),
                    "offered-load grid must be non-empty");
   for (const double rps : config.offered_rps) {

@@ -1,12 +1,12 @@
 // The deterministic trial population shared by the serving sweeps.
 //
-// The load sweep (single node), the fleet sweep (sharded server) and the
-// chaos sweep (sharded server under fault injection) all replay the same
-// rendered population: trials, oracle segmenters, one shared request
-// interleaving, and the rng roots for scoring and arrivals. Extracting
-// the renderer makes the cross-sweep comparison literal — identical rows
-// mean identical requests, and any score difference is the serving
-// topology's fault, not the population's.
+// The fleet sweep (sharded server across a load grid) and the chaos sweep
+// (sharded server under fault injection) both replay the same rendered
+// population: trials, oracle segmenters, one shared request interleaving,
+// and the rng roots for scoring and arrivals. Extracting the renderer
+// makes the cross-sweep comparison literal — identical rows mean
+// identical requests, and any score difference is the serving topology's
+// fault, not the population's.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +35,7 @@ struct SweepPopulation {
 
 /// Renders the population for `config` at `seed`. Deterministic; mirrors
 /// the fault sweep's definition (one shared simulator stream, fixed
-/// order).
+/// order). Throws InvalidArgument for an empty population.
 void render_sweep_population(const LoadSweepConfig& config,
                              std::uint64_t seed, SweepPopulation& pop);
 

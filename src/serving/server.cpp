@@ -128,9 +128,14 @@ SubmitStatus Server::submit(std::uint64_t session_id, SessionHandle session,
   item.session_id = session_id;
   item.request_id = request.request_id;
   item.session = session;
-  item.deadline_at_us = config_.deadline_us.has_value()
-                            ? clock_->now_us() + *config_.deadline_us
-                            : kNoDeadline;
+  item.deadline_at_us = kNoDeadline;
+  if (config_.deadline_us.has_value()) {
+    // Saturates: a budget too large to add to the clock never expires.
+    const std::uint64_t now = clock_->now_us();
+    item.deadline_at_us = *config_.deadline_us > kNoDeadline - now
+                              ? kNoDeadline
+                              : now + *config_.deadline_us;
+  }
   {
     std::lock_guard<std::mutex> lock(lane.mu);
     const SessionRecord* record = lane.slab.get(session);

@@ -1,7 +1,8 @@
 // serving::Server — the sharded multi-worker serving runtime.
 //
-// The single-session toolkit (admission queue, breaker, deadlines — PR 5)
-// and the zero-alloc batch scorer (PR 2) compose into a fleet here:
+// The overload toolkit (bounded queues, breaker, deadlines) and the
+// zero-alloc batch scorer compose into a fleet here. This is the repo's
+// only overload path; one worker is the single serving node:
 //
 //   session id ── consistent hash ──▶ worker shard
 //                                      ├─ bounded MPMC work queue
@@ -29,7 +30,7 @@
 // are MPMC; slab/payload mutations take the lane lock). Batch formation
 // and completion are designed for ONE drainer per shard at a time — run
 // one pump thread per worker, or drive all shards from a simulator loop
-// (eval/load_sweep's fleet mode does exactly that on a VirtualClock).
+// (eval::replay_fleet does exactly that on a VirtualClock).
 // open_session/close_session are not thread-safe against in-flight
 // submits for the same session.
 #pragma once

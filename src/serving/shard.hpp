@@ -27,9 +27,9 @@
 // abstract); MutexRingQueue is the stock finely-locked implementation.
 // Shard methods are individually thread-safe (submit from any thread);
 // batch formation is designed for ONE drainer per shard at a time.
-// This layer is core-free: outcomes are reported back through the
-// TrialOutcome enum, never through core types, so vibguard_serving stays
-// below vibguard_core in the link order.
+// The shard itself is core-free: outcomes are reported back through the
+// TrialOutcome enum, never through core types; only the Server above it
+// scores.
 #pragma once
 
 #include <atomic>
@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "common/clock.hpp"
-#include "serving/admission.hpp"
 #include "serving/circuit_breaker.hpp"
 #include "serving/session_slab.hpp"
 
@@ -256,9 +255,32 @@ enum class TrialOutcome {
   kIndeterminate,  ///< quality-gated input (neutral; releases a probe)
 };
 
+/// A shard's admission and queue-time accounting. The queue-time
+/// aggregates (total/max/mean) cover only items dequeued for service:
+/// rejected submissions never enter the queue, and items whose deadline
+/// expired while queued are tallied in `expired` — neither can pollute the
+/// mean queue time of the items the worker actually ran.
+struct AdmissionStats {
+  std::uint64_t admitted = 0;
+  std::uint64_t rejected = 0;
+  std::uint64_t dequeued = 0;  ///< dequeued for service (excludes expired)
+  std::uint64_t expired = 0;   ///< dropped: deadline passed while queued
+  /// Items removed by a peer's work steal (see Shard::steal_batch). Stolen
+  /// items leave this queue unserved, so they never touch the queue-time
+  /// aggregates here — their wait keeps accruing and is accounted where
+  /// they are finally dequeued.
+  std::uint64_t stolen = 0;
+  std::uint64_t total_queue_us = 0;  ///< summed over dequeued items
+  std::uint64_t max_queue_us = 0;
+
+  double mean_queue_us() const {
+    return dequeued > 0 ? static_cast<double>(total_queue_us) /
+                              static_cast<double>(dequeued)
+                        : 0.0;
+  }
+};
+
 struct ShardStats {
-  /// Queue accounting under the PR-5 contract: means cover only items
-  /// dequeued for service; expired-in-queue items count in `expired`.
   AdmissionStats admission;
   std::uint64_t quota_rejected = 0;  ///< tenant-quota rejections
   std::uint64_t closed_rejected = 0; ///< submits refused after close()

@@ -9,7 +9,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <string>
+#include <ostream>
 
 #include "attacks/attack.hpp"
 #include "core/pipeline.hpp"
@@ -42,6 +42,10 @@ constexpr Golden kGolden[] = {
     {"hidden_voice", true, attacks::AttackType::kHiddenVoice, 1804,
      0x3fb825eb43695048ull},
 };
+
+// gtest would otherwise print a Golden as its raw bytes, address of `name`
+// included, and ctest's discovered test names would change with every build.
+void PrintTo(const Golden& g, std::ostream* os) { *os << g.name; }
 
 // Holds the scalar dispatch level for one test, restoring the previous one.
 class ScalarLevel {
@@ -85,11 +89,7 @@ TEST_P(GoldenScoreTest, DelayAndScoreBitsArePinned) {
       << g.name << ": score " << score << " has bits 0x" << std::hex << bits;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Trials, GoldenScoreTest, ::testing::ValuesIn(kGolden),
-    [](const ::testing::TestParamInfo<Golden>& trial) {
-      return std::string(trial.param.name);
-    });
+INSTANTIATE_TEST_SUITE_P(Trials, GoldenScoreTest, ::testing::ValuesIn(kGolden));
 
 }  // namespace
 }  // namespace vibguard::core

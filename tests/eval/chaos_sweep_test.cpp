@@ -270,6 +270,27 @@ TEST(ChaosSweepTest, ScenarioFilterSelectsOneAndRejectsUnknownNames) {
   EXPECT_THROW(run_chaos_sweep(config, kSeed), InvalidArgument);
 }
 
+TEST(ChaosSweepTest, RejectsBadConfig) {
+  ChaosSweepConfig config = small_config();
+  config.workers = 1;
+  EXPECT_THROW(run_chaos_sweep(config, kSeed), InvalidArgument);
+  config = small_config();
+  config.offered_rps = 0.0;
+  EXPECT_THROW(run_chaos_sweep(config, kSeed), InvalidArgument);
+  config = small_config();
+  config.sessions = 0;
+  EXPECT_THROW(run_chaos_sweep(config, kSeed), InvalidArgument);
+  config = small_config();
+  config.tenants = 0;
+  EXPECT_THROW(run_chaos_sweep(config, kSeed), InvalidArgument);
+  // An empty population has no arrivals to replay (and no horizon to
+  // scale the fault windows by).
+  config = small_config();
+  config.base.legit_trials = 0;
+  config.base.attack_trials = 0;
+  EXPECT_THROW(run_chaos_sweep(config, kSeed), InvalidArgument);
+}
+
 TEST(ChaosSweepTest, FixedSeedsReproduceTheExactRun) {
   const ChaosSweepResult& first = sweep();
   const ChaosSweepResult second = run_chaos_sweep(small_config(), kSeed);

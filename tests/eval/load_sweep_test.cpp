@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -31,14 +34,80 @@ LoadSweepConfig small_config() {
   return cfg;
 }
 
+/// The single serving node: one worker with micro-batching off.
+FleetSweepConfig single_node(const LoadSweepConfig& base) {
+  FleetSweepConfig cfg;
+  cfg.base = base;
+  cfg.workers = {1};
+  cfg.batch_max = 1;
+  cfg.batch_window_us = 0;
+  cfg.batch_setup_us = 0;
+  return cfg;
+}
+
+/// One row of the single-node table, as recorded from the former
+/// dedicated single-node simulator.
+struct SingleNodeRow {
+  std::size_t admitted, rejected, deadline_missed, scored_primary,
+      scored_degraded, breaker_trips;
+  double mean_queue_us, eer_primary, eer_degraded;
+};
+
+/// Exact double equality where NaN == NaN.
+bool same_double(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) || a == b;
+}
+
+TEST(LoadSweepTest, SingleNodeReproducesRecordedRows) {
+  // small_config() at seeds 42 and 7, both loads: counts, mean queue time
+  // and EER bits must match the dedicated single-node simulator the
+  // one-worker fleet replaced. No row is indeterminate or errors.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<std::uint64_t, std::vector<SingleNodeRow>>>
+      recorded = {
+          {42,
+           {{16, 0, 0, 16, 0, 0, 0.0, 0x1p-3, nan},
+            {13, 3, 2, 7, 4, 1, 0x1.0aa7b13b13b14p+17, 0x1.9999999999998p-3,
+             nan}}},
+          {7,
+           {{16, 0, 0, 16, 0, 0, 0.0, 0.0, nan},
+            {16, 0, 2, 7, 7, 1, 0x1.faf9bp+16, 0.0, 0x1.5555555555556p-2}}},
+      };
+  for (const auto& [seed, rows] : recorded) {
+    const FleetSweepResult result =
+        run_fleet_sweep(single_node(small_config()), seed);
+    ASSERT_EQ(result.points.size(), rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const FleetSweepPoint& p = result.points[i];
+      const SingleNodeRow& want = rows[i];
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " row " << i);
+      EXPECT_EQ(p.arrivals, 16u);
+      EXPECT_EQ(p.admitted, want.admitted);
+      EXPECT_EQ(p.rejected, want.rejected);
+      EXPECT_EQ(p.quota_rejected, 0u);
+      EXPECT_EQ(p.deadline_missed, want.deadline_missed);
+      EXPECT_EQ(p.scored_primary, want.scored_primary);
+      EXPECT_EQ(p.scored_degraded, want.scored_degraded);
+      EXPECT_EQ(p.indeterminate, 0u);
+      EXPECT_EQ(p.errors, 0u);
+      EXPECT_EQ(p.breaker_trips, want.breaker_trips);
+      EXPECT_EQ(p.mean_queue_us, want.mean_queue_us);
+      EXPECT_TRUE(same_double(p.eer_primary, want.eer_primary))
+          << p.eer_primary;
+      EXPECT_TRUE(same_double(p.eer_degraded, want.eer_degraded))
+          << p.eer_degraded;
+    }
+  }
+}
+
 TEST(LoadSweepTest, RunsEndToEndAndConservesCounts) {
-  const LoadSweepConfig cfg = small_config();
-  const LoadSweepResult result = run_load_sweep(cfg, 42);
-  ASSERT_EQ(result.points.size(), cfg.offered_rps.size());
-  for (const LoadSweepPoint& p : result.points) {
-    EXPECT_EQ(p.arrivals, cfg.legit_trials + cfg.attack_trials);
+  const FleetSweepConfig cfg = single_node(small_config());
+  const FleetSweepResult result = run_fleet_sweep(cfg, 42);
+  ASSERT_EQ(result.points.size(), cfg.base.offered_rps.size());
+  for (const FleetSweepPoint& p : result.points) {
+    EXPECT_EQ(p.arrivals, cfg.base.legit_trials + cfg.base.attack_trials);
     // Every arrival is either admitted or rejected...
-    EXPECT_EQ(p.admitted + p.rejected, p.arrivals);
+    EXPECT_EQ(p.admitted + p.rejected + p.quota_rejected, p.arrivals);
     // ...and every admitted request ends in exactly one terminal state.
     EXPECT_EQ(p.scored_primary + p.scored_degraded + p.indeterminate +
                   p.errors + p.deadline_missed,
@@ -46,20 +115,47 @@ TEST(LoadSweepTest, RunsEndToEndAndConservesCounts) {
   }
 }
 
+TEST(LoadSweepTest, SlowBatchesStillDrainTheWholeBacklog) {
+  // Each full batch (4 x 3 s) outlasts the replay's 10 s wedge bound. A
+  // fault-free worker that keeps serving must still drain every admitted
+  // request, however far past the last arrival its backlog runs.
+  FleetSweepConfig cfg;
+  cfg.base = small_config();
+  cfg.base.legit_trials = 4;
+  cfg.base.attack_trials = 4;
+  cfg.base.offered_rps = {10.0};
+  cfg.base.service_us_primary = 3'000'000;
+  cfg.base.deadline_us = 100'000'000;
+  cfg.base.queue_capacity = 16;
+  cfg.workers = {1};
+  cfg.batch_max = 4;
+  const FleetSweepResult result = run_fleet_sweep(cfg, 42);
+  ASSERT_EQ(result.points.size(), 1u);
+  const FleetSweepPoint& p = result.points[0];
+  EXPECT_EQ(p.arrivals, 8u);
+  EXPECT_EQ(p.admitted, p.arrivals);
+  EXPECT_EQ(p.scored_primary + p.scored_degraded + p.indeterminate +
+                p.errors + p.deadline_missed,
+            p.admitted);
+  EXPECT_EQ(p.deadline_missed, 0u);
+}
+
 TEST(LoadSweepTest, LightLoadServesEverythingInBudget) {
-  const LoadSweepResult result = run_load_sweep(small_config(), 42);
-  const LoadSweepPoint& light = result.points.front();
+  const FleetSweepResult result =
+      run_fleet_sweep(single_node(small_config()), 42);
+  const FleetSweepPoint& light = result.points.front();
   EXPECT_EQ(light.rejected, 0u);
   EXPECT_EQ(light.deadline_missed, 0u);
   EXPECT_EQ(light.scored_degraded, 0u);  // breaker never needed
   EXPECT_GT(light.scored_primary, 0u);
-  // With 6+6 mostly-scored trials the primary EER is a real number.
+  // With 8+8 scored trials the primary EER is a real number.
   EXPECT_FALSE(std::isnan(light.eer_primary));
 }
 
 TEST(LoadSweepTest, OverloadTriggersBackpressureAndDeadlineMisses) {
-  const LoadSweepResult result = run_load_sweep(small_config(), 42);
-  const LoadSweepPoint& heavy = result.points.back();
+  const FleetSweepResult result =
+      run_fleet_sweep(single_node(small_config()), 42);
+  const FleetSweepPoint& heavy = result.points.back();
   // At 10 rps against a 150 ms server the queue of 4 cannot keep up:
   // arrivals bounce off the full queue, queued requests blow their 400 ms
   // budgets, consecutive misses trip the breaker, and the remaining
@@ -72,9 +168,9 @@ TEST(LoadSweepTest, OverloadTriggersBackpressureAndDeadlineMisses) {
 }
 
 TEST(LoadSweepTest, DeterministicForSameSeed) {
-  const LoadSweepConfig cfg = small_config();
-  const LoadSweepResult a = run_load_sweep(cfg, 7);
-  const LoadSweepResult b = run_load_sweep(cfg, 7);
+  const FleetSweepConfig cfg = single_node(small_config());
+  const FleetSweepResult a = run_fleet_sweep(cfg, 7);
+  const FleetSweepResult b = run_fleet_sweep(cfg, 7);
   ASSERT_EQ(a.points.size(), b.points.size());
   for (std::size_t i = 0; i < a.points.size(); ++i) {
     EXPECT_EQ(a.points[i].admitted, b.points[i].admitted);
@@ -83,15 +179,14 @@ TEST(LoadSweepTest, DeterministicForSameSeed) {
     EXPECT_EQ(a.points[i].scored_primary, b.points[i].scored_primary);
     EXPECT_EQ(a.points[i].scored_degraded, b.points[i].scored_degraded);
     EXPECT_EQ(a.points[i].breaker_trips, b.points[i].breaker_trips);
-    EXPECT_DOUBLE_EQ(a.points[i].mean_queue_us, b.points[i].mean_queue_us);
-    if (!std::isnan(a.points[i].eer_primary)) {
-      EXPECT_DOUBLE_EQ(a.points[i].eer_primary, b.points[i].eer_primary);
-    }
+    EXPECT_EQ(a.points[i].mean_queue_us, b.points[i].mean_queue_us);
+    EXPECT_TRUE(same_double(a.points[i].eer_primary, b.points[i].eer_primary));
   }
 }
 
 TEST(LoadSweepTest, SummaryPrintsOneRowPerLoadPoint) {
-  const LoadSweepResult result = run_load_sweep(small_config(), 42);
+  const FleetSweepResult result =
+      run_fleet_sweep(single_node(small_config()), 42);
   const std::string summary = result.summary();
   EXPECT_NE(summary.find("load sweep"), std::string::npos);
   EXPECT_NE(summary.find("EERpri"), std::string::npos);
@@ -209,18 +304,22 @@ TEST(FleetSweepTest, RejectsBadConfig) {
   cfg = small_fleet();
   cfg.tenants = 0;
   EXPECT_THROW(run_fleet_sweep(cfg, 1), Error);
+  cfg = small_fleet();
+  cfg.base.legit_trials = 0;
+  cfg.base.attack_trials = 0;
+  EXPECT_THROW(run_fleet_sweep(cfg, 1), InvalidArgument);
 }
 
 TEST(LoadSweepTest, RejectsBadConfig) {
-  LoadSweepConfig cfg = small_config();
-  cfg.offered_rps.clear();
-  EXPECT_THROW(run_load_sweep(cfg, 1), Error);
-  cfg = small_config();
-  cfg.offered_rps = {0.0};
-  EXPECT_THROW(run_load_sweep(cfg, 1), Error);
-  cfg = small_config();
-  cfg.num_speakers = 1;
-  EXPECT_THROW(run_load_sweep(cfg, 1), Error);
+  FleetSweepConfig cfg = single_node(small_config());
+  cfg.base.offered_rps.clear();
+  EXPECT_THROW(run_fleet_sweep(cfg, 1), Error);
+  cfg = single_node(small_config());
+  cfg.base.offered_rps = {0.0};
+  EXPECT_THROW(run_fleet_sweep(cfg, 1), Error);
+  cfg = single_node(small_config());
+  cfg.base.num_speakers = 1;
+  EXPECT_THROW(run_fleet_sweep(cfg, 1), Error);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <thread>
 #include <vector>
@@ -198,6 +199,33 @@ TEST(ServerTest, PlacementIsStableAndServedCountsAccumulate) {
   for (const ServedResult& r : results) EXPECT_EQ(r.worker, w);
   ASSERT_NE(server.session(session_id, handle), nullptr);
   EXPECT_EQ(server.session(session_id, handle)->served, 2u);
+}
+
+TEST(ServerTest, OversizedDeadlineBudgetNeverExpires) {
+  // now + budget would wrap past UINT64_MAX into an already-past expiry;
+  // the deadline saturates to "never" instead.
+  VirtualClock clock;
+  clock.advance(1'000);
+  ServerConfig config;
+  config.workers = 1;
+  config.deadline_us = UINT64_MAX - 10;
+  Server server(config, clock);
+
+  const SessionHandle handle = server.open_session(9);
+  const Population& pop = Population::instance();
+  ServerRequest request;
+  request.va = &pop.trials[0].recordings.va;
+  request.wearable = &pop.trials[0].recordings.wearable;
+  request.segmenter = pop.trials[0].segmenter.get();
+  request.rng = Rng(11);
+  ASSERT_EQ(server.submit(9, handle, request), SubmitStatus::kQueued);
+  clock.advance(60'000);
+
+  std::vector<ServedResult> results;
+  server.drain(results);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_FALSE(results[0].expired_in_queue);
+  EXPECT_EQ(results[0].outcome.status, core::ScoreStatus::kOk);
 }
 
 TEST(ServerTest, ExpiredInQueueRequestsAreDroppedUnscored) {

@@ -140,6 +140,22 @@ TEST(ShardTest, QueueFullIsAnExplicitRejection) {
   EXPECT_EQ(shard.depth(), 4u);
   EXPECT_EQ(shard.stats().admission.admitted, 4u);
   EXPECT_EQ(shard.stats().admission.rejected, 1u);
+
+  // Capacity 0 is a legal "admit nothing" shard: every submit is a clean,
+  // counted rejection, and the queue-time means stay well defined.
+  ShardConfig closed_cfg = small_shard();
+  closed_cfg.queue_capacity = 0;
+  Shard closed(closed_cfg, clock);
+  EXPECT_EQ(closed.submit(item_for(0)), SubmitStatus::kRejectedQueueFull);
+  EXPECT_EQ(closed.submit(item_for(1)), SubmitStatus::kRejectedQueueFull);
+  EXPECT_EQ(closed.depth(), 0u);
+  const ShardStats stats = closed.stats();
+  EXPECT_EQ(stats.admission.admitted, 0u);
+  EXPECT_EQ(stats.admission.rejected, 2u);
+  EXPECT_EQ(stats.admission.dequeued, 0u);
+  EXPECT_DOUBLE_EQ(stats.admission.mean_queue_us(), 0.0);
+  std::vector<WorkItem> batch;
+  EXPECT_FALSE(closed.form_batch(batch, /*force=*/true).has_value());
 }
 
 TEST(ShardTest, TenantQuotaRejectsBeforeTheQueueAndReleasesOnPop) {
@@ -200,20 +216,26 @@ TEST(ShardTest, ExpiredItemsAreFlaggedAndExcludedFromQueueMeans) {
   Shard shard(small_shard(), clock);
   shard.submit(item_for(0, 0, /*deadline_at_us=*/clock.now_us() + 500));
   shard.submit(item_for(1, 0, /*deadline_at_us=*/clock.now_us() + 50'000));
-  clock.advance(2000);  // request 0 expired; request 1 still live
+  clock.advance(500);
+  shard.submit(item_for(2, 0, /*deadline_at_us=*/clock.now_us() + 50'000));
+  clock.advance(1500);  // request 0 expired; requests 1 and 2 still live
 
   std::vector<WorkItem> batch;
   const auto formed = shard.form_batch(batch, /*force=*/true);
   ASSERT_TRUE(formed.has_value());
-  ASSERT_EQ(batch.size(), 2u);
+  ASSERT_EQ(batch.size(), 3u);
   EXPECT_TRUE(batch[0].expired_in_queue);
   EXPECT_FALSE(batch[1].expired_in_queue);
+  EXPECT_FALSE(batch[2].expired_in_queue);
 
+  // Per-item waits 2000 and 1500 us: the aggregates cover exactly the two
+  // live items, max and mean alike.
   const ShardStats stats = shard.stats();
   EXPECT_EQ(stats.admission.expired, 1u);
-  EXPECT_EQ(stats.admission.dequeued, 1u);  // only the live item
-  EXPECT_EQ(stats.admission.total_queue_us, 2000u);
-  EXPECT_DOUBLE_EQ(stats.admission.mean_queue_us(), 2000.0);
+  EXPECT_EQ(stats.admission.dequeued, 2u);  // only the live items
+  EXPECT_EQ(stats.admission.total_queue_us, 3500u);
+  EXPECT_EQ(stats.admission.max_queue_us, 2000u);
+  EXPECT_DOUBLE_EQ(stats.admission.mean_queue_us(), 1750.0);
 }
 
 TEST(ShardTest, BreakerRoutesDegradedThenSingleItemProbe) {
