@@ -18,6 +18,8 @@
 #include "eval/experiment.hpp"
 #include "eval/scenario.hpp"
 #include "serving/shard.hpp"
+#include "speech/command.hpp"
+#include "speech/speaker.hpp"
 
 namespace vibguard {
 namespace {
@@ -248,6 +250,30 @@ BENCHMARK(BM_ExperimentParallel)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+void BM_RenderTrial(benchmark::State& state, bool attack) {
+  // One trial through ScenarioSimulator's one-call path, draw then
+  // realize: speech (or a replay attack and the barrier), two room renders
+  // and both microphones. A fresh simulator per iteration renders the
+  // same trial every time. ExperimentRunner realizes trials like this one
+  // concurrently, so this is its per-trial render cost.
+  Rng people(32);
+  const auto victim = speech::sample_speaker(speech::Sex::kFemale, people);
+  const auto adversary = speech::sample_speaker(speech::Sex::kMale, people);
+  const auto& command = speech::command_by_text("unlock the front door");
+  for (auto _ : state) {
+    eval::ScenarioSimulator sim(eval::ScenarioConfig{}, 31);
+    auto trial =
+        attack ? sim.attack_trial(attacks::AttackType::kReplay, command,
+                                  victim, adversary)
+               : sim.legitimate_trial(command, victim);
+    benchmark::DoNotOptimize(trial);
+  }
+}
+BENCHMARK_CAPTURE(BM_RenderTrial, legit, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RenderTrial, replay, true)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ShardSteal(benchmark::State& state) {
   // Full victim→thief migration of one batch: steal_batch pops the FIFO

@@ -43,16 +43,63 @@ std::vector<AmbientKind> all_ambient_kinds() {
 
 Signal ambient_noise(AmbientKind kind, double duration_s,
                      double sample_rate, double spl_db, Rng& rng) {
+  return realize_ambient(
+      draw_ambient(kind, duration_s, sample_rate, spl_db, rng));
+}
+
+AmbientDraw draw_ambient(AmbientKind kind, double duration_s,
+                         double sample_rate, double spl_db, Rng& rng) {
   VIBGUARD_REQUIRE(duration_s >= 0.0, "duration must be non-negative");
-  const double rms = spl_to_rms(spl_db);
-  Signal out({}, sample_rate);
+  VIBGUARD_REQUIRE(sample_rate > 0.0, "sample rate must be positive");
+  AmbientDraw d;
+  d.kind = kind;
+  d.duration_s = duration_s;
+  d.sample_rate = sample_rate;
+  d.spl_db = spl_db;
+  const auto n =
+      static_cast<std::size_t>(std::round(duration_s * sample_rate));
   switch (kind) {
     case AmbientKind::kQuiet:
-      out = dsp::pink_noise(duration_s, sample_rate, 1.0, rng);
+      d.noise = rng.take_gaussians(n + dsp::kPinkNoiseRows);
+      break;
+    case AmbientKind::kHvac:
+      d.noise = rng.take_gaussians(n);
+      break;
+    case AmbientKind::kMusic: {
+      VIBGUARD_REQUIRE(sample_rate >= 2.0,
+                       "music needs a sample rate of at least 2 Hz");
+      d.noise = rng.take_gaussians(n + dsp::kPinkNoiseRows);
+      d.beat_hz = rng.uniform(1.6, 2.4);
+      rng.uniform(200.0, 600.0);  // an opening tone the first note replaces
+      const auto note = static_cast<std::size_t>(sample_rate / 2);
+      for (std::size_t i = 0; i < n; i += note) {
+        d.notes.push_back(rng.uniform(200.0, 600.0));
+      }
+      break;
+    }
+    case AmbientKind::kBabble:
+      for (int talker = 0; talker < 4; ++talker) {
+        Rng noise = rng.take_gaussians(n);
+        const double rate = rng.uniform(3.0, 6.0);
+        const double phase = rng.uniform(0.0, kTwoPi);
+        d.talkers.push_back({noise, rate, phase});
+      }
+      break;
+  }
+  return d;
+}
+
+Signal realize_ambient(const AmbientDraw& d) {
+  const double sample_rate = d.sample_rate;
+  Rng rng = d.noise;
+  Signal out({}, sample_rate);
+  switch (d.kind) {
+    case AmbientKind::kQuiet:
+      out = dsp::pink_noise(d.duration_s, sample_rate, 1.0, rng);
       break;
     case AmbientKind::kHvac: {
       // Rumble: noise low-passed hard at ~150 Hz plus a faint mains-ish hum.
-      Signal noise = dsp::white_noise(duration_s, sample_rate, 1.0, rng);
+      Signal noise = dsp::white_noise(d.duration_s, sample_rate, 1.0, rng);
       out = dsp::apply_gain_curve(noise, [](double f) {
         return 1.0 / (1.0 + std::pow(f / 150.0, 4.0));
       });
@@ -66,16 +113,14 @@ Signal ambient_noise(AmbientKind kind, double duration_s,
     case AmbientKind::kMusic: {
       // Broadband with a beat: pink noise amplitude-modulated at ~2 Hz and
       // a wandering melodic tone.
-      out = dsp::pink_noise(duration_s, sample_rate, 1.0, rng);
-      const double beat = rng.uniform(1.6, 2.4);
-      double tone_f = rng.uniform(200.0, 600.0);
+      out = dsp::pink_noise(d.duration_s, sample_rate, 1.0, rng);
+      const auto note = static_cast<std::size_t>(sample_rate / 2);
+      double tone_f = 0.0;
       double phase = 0.0;
       for (std::size_t i = 0; i < out.size(); ++i) {
         const double t = static_cast<double>(i) / sample_rate;
-        const double env = 0.6 + 0.4 * std::sin(kTwoPi * beat * t);
-        if (i % static_cast<std::size_t>(sample_rate / 2) == 0) {
-          tone_f = rng.uniform(200.0, 600.0);  // new "note"
-        }
+        const double env = 0.6 + 0.4 * std::sin(kTwoPi * d.beat_hz * t);
+        if (i % note == 0) tone_f = d.notes[i / note];  // new "note"
         phase += kTwoPi * tone_f / sample_rate;
         out[i] = env * (out[i] + 0.4 * std::sin(phase));
       }
@@ -84,23 +129,22 @@ Signal ambient_noise(AmbientKind kind, double duration_s,
     case AmbientKind::kBabble: {
       // Several overlapping speech-shaped streams with syllabic envelopes.
       out = Signal::zeros(
-          static_cast<std::size_t>(std::round(duration_s * sample_rate)),
+          static_cast<std::size_t>(std::round(d.duration_s * sample_rate)),
           sample_rate);
-      for (int talker = 0; talker < 4; ++talker) {
-        Signal stream = speech_shaped_noise(duration_s, sample_rate, rng);
-        const double rate = rng.uniform(3.0, 6.0);
-        const double phi = rng.uniform(0.0, kTwoPi);
+      for (const AmbientDraw::Talker& talker : d.talkers) {
+        Rng noise = talker.noise;
+        Signal stream = speech_shaped_noise(d.duration_s, sample_rate, noise);
         for (std::size_t i = 0; i < stream.size() && i < out.size(); ++i) {
           const double t = static_cast<double>(i) / sample_rate;
           const double env =
-              0.5 + 0.5 * std::sin(kTwoPi * rate * t + phi);
+              0.5 + 0.5 * std::sin(kTwoPi * talker.rate_hz * t + talker.phase);
           out[i] += env * stream[i];
         }
       }
       break;
     }
   }
-  return out.scaled_to_rms(rms);
+  return out.scaled_to_rms(spl_to_rms(d.spl_db));
 }
 
 }  // namespace vibguard::acoustics

@@ -67,21 +67,43 @@ Room::Room(RoomConfig config, Rng rng)
 }
 
 Signal Room::render(const Signal& source, double distance_m) {
-  Signal direct = propagate(source, distance_m);
-  Signal out = direct;
-  const double fs = source.sample_rate();
+  return realize(source,
+                 draw(source.size(), source.sample_rate(), distance_m));
+}
+
+Room::RenderDraw Room::draw(std::size_t samples, double sample_rate,
+                            double distance_m) {
+  RenderDraw d;
+  d.distance_m = distance_m;
   // Each receiver position sees its own image-source pattern: jitter the
   // room's base reflections per render so two devices at different spots
   // get genuinely different colorations.
+  d.reflections.reserve(reflections_.size());
   for (const Reflection& r : reflections_) {
     const double delay = r.delay_s * rng_.uniform(0.92, 1.08);
     const double gain = r.gain * rng_.uniform(0.85, 1.15);
-    const auto shift = static_cast<std::size_t>(std::round(delay * fs));
+    d.reflections.push_back({delay, gain});
+  }
+  // The noise spans the rendered signal, which keeps the source's length
+  // and rate (Signal::duration).
+  const double duration_s =
+      sample_rate > 0.0 ? static_cast<double>(samples) / sample_rate : 0.0;
+  d.ambient = draw_ambient(config_.ambient_kind, duration_s, sample_rate,
+                           config_.ambient_noise_spl, rng_);
+  return d;
+}
+
+Signal Room::realize(const Signal& source, const RenderDraw& d) const {
+  Signal direct = propagate(source, d.distance_m);
+  Signal out = direct;
+  const double fs = source.sample_rate();
+  for (const Reflection& r : d.reflections) {
+    const auto shift = static_cast<std::size_t>(std::round(r.delay_s * fs));
     for (std::size_t i = shift; i < out.size(); ++i) {
-      out[i] += gain * direct[i - shift];
+      out[i] += r.gain * direct[i - shift];
     }
   }
-  Signal noise = ambient(out.duration(), fs);
+  Signal noise = realize_ambient(d.ambient);
   for (std::size_t i = 0; i < out.size() && i < noise.size(); ++i) {
     out[i] += noise[i];
   }

@@ -42,6 +42,19 @@ std::vector<RoomConfig> all_rooms();
 /// reflections + ambient noise. Deterministic given the Rng.
 class Room {
  public:
+  struct Reflection {
+    double delay_s;
+    double gain;
+  };
+
+  /// Everything one render() call draws from the room's Rng: this
+  /// receiver's jittered reflections, then its ambient noise.
+  struct RenderDraw {
+    double distance_m = 0.0;
+    std::vector<Reflection> reflections;
+    AmbientDraw ambient;
+  };
+
   Room(RoomConfig config, Rng rng);
 
   const RoomConfig& config() const { return config_; }
@@ -50,15 +63,18 @@ class Room {
   /// image-source-style early reflections and ambient noise.
   Signal render(const Signal& source, double distance_m);
 
+  /// The random half of render() for a source of `samples` samples at
+  /// `sample_rate`: consumes the room's Rng exactly as render() does.
+  RenderDraw draw(std::size_t samples, double sample_rate,
+                  double distance_m);
+
+  /// The pure half: render() == realize(source, draw(...)), bit for bit.
+  Signal realize(const Signal& source, const RenderDraw& draw) const;
+
   /// Ambient noise alone, for noise-floor calibration.
   Signal ambient(double duration_s, double sample_rate);
 
  private:
-  struct Reflection {
-    double delay_s;
-    double gain;
-  };
-
   RoomConfig config_;
   Rng rng_;
   std::vector<Reflection> reflections_;

@@ -11,8 +11,12 @@
 //                       estimate of the victim's voice.
 //   Hidden voice      — an obfuscated, noise-like signal spanning 0–6 kHz
 //                       that machines recognize but humans do not (ref [3]).
+//
+// Like speech synthesis, generation splits into draw() — every Rng use, in
+// the one-call order — and a pure realize().
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,6 +55,27 @@ struct AttackSound {
   std::vector<speech::PhonemeSpan> alignment;
 };
 
+/// Everything one generate() call draws, in its draw order.
+struct AttackDraw {
+  /// One hidden-voice syllable: its noise carrier and three resonances.
+  struct Syllable {
+    double duration_s;
+    Rng noise;  ///< reserved white noise
+    double centers[3];
+    double widths[3];
+  };
+  AttackType type = AttackType::kRandom;
+  std::string command;
+  /// The spoken command (random, replay and synthesis attacks).
+  std::optional<speech::UtteranceDraw> utterance;
+  /// Replay: the recording chain's reserved noise.
+  std::optional<Rng> recording_noise;
+  std::vector<Syllable> syllables;  ///< hidden voice only
+  double envelope_phase = 0.0;      ///< hidden voice only
+  std::size_t samples = 0;          ///< length of the realized emission
+  double sample_rate = 0.0;         ///< its sample rate
+};
+
 struct AttackGeneratorConfig {
   speech::SynthesizerConfig synth;
   sensors::SpeakerConfig playback = sensors::playback_loudspeaker();
@@ -81,11 +106,14 @@ class AttackGenerator {
                                const speech::SpeakerProfile& victim,
                                Rng& rng) const;
 
+  /// Typical command length: the hidden voice attack's default duration.
+  static constexpr double kCommandDurationS = 1.2;
+
   /// Hidden voice attack: obfuscated wideband command with a syllabic
-  /// envelope, played through the loudspeaker. `duration_s` defaults to a
-  /// typical command length.
+  /// envelope, played through the loudspeaker.
   AttackSound hidden_voice_attack(const std::string& command_text,
-                                  Rng& rng, double duration_s = 1.2) const;
+                                  Rng& rng,
+                                  double duration_s = kCommandDurationS) const;
 
   /// Dispatches on `type`; for kRandom, `adversary` is used, otherwise the
   /// victim profile.
@@ -94,7 +122,22 @@ class AttackGenerator {
                        const speech::SpeakerProfile& adversary,
                        Rng& rng) const;
 
+  /// The random half of generate(): same arguments, same Rng use.
+  AttackDraw draw(AttackType type, const speech::VoiceCommand& command,
+                  const speech::SpeakerProfile& victim,
+                  const speech::SpeakerProfile& adversary, Rng& rng) const;
+
+  /// The pure half: generate() == realize(draw(...)), bit for bit.
+  AttackSound realize(const AttackDraw& draw) const;
+
  private:
+  AttackDraw draw_speech(AttackType type, const speech::VoiceCommand& command,
+                         const speech::SpeakerProfile& speaker,
+                         Rng& rng) const;
+  AttackDraw draw_hidden_voice(const std::string& command_text, Rng& rng,
+                               double duration_s) const;
+  AttackSound realize_hidden_voice(const AttackDraw& draw) const;
+
   AttackGeneratorConfig config_;
   speech::UtteranceBuilder builder_;
   sensors::Speaker playback_;

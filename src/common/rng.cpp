@@ -88,6 +88,23 @@ std::vector<double> Rng::gaussian_vector(std::size_t n, double stddev) {
   return out;
 }
 
+Rng Rng::take_gaussians(std::size_t n) {
+  Rng reserved = *this;
+  if (n > 0 && has_spare_) {
+    has_spare_ = false;
+    --n;
+  }
+  // Each full pair costs gaussian()'s uniform draws: u1, redrawn while it
+  // is exactly zero, then u2.
+  for (; n >= 2; n -= 2) {
+    while (((*this)() >> 11) == 0) {
+    }
+    (*this)();
+  }
+  if (n == 1) gaussian();  // leaves the pair's spare pending, as inline
+  return reserved;
+}
+
 bool Rng::bernoulli(double p) {
   VIBGUARD_REQUIRE(p >= 0.0 && p <= 1.0, "probability must be in [0, 1]");
   return uniform() < p;

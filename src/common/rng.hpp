@@ -48,6 +48,14 @@ class Rng {
   /// Vector of n i.i.d. N(0, stddev^2) samples.
   std::vector<double> gaussian_vector(std::size_t n, double stddev = 1.0);
 
+  /// Reserves the next n standard-normal draws: returns a copy of this
+  /// generator positioned at them and advances this one exactly as n calls
+  /// to gaussian() would, a pending Box–Muller spare included. The copy's
+  /// first n gaussian() calls return the reserved values. Costs about one
+  /// raw draw per reserved value and computes no normals but the last odd
+  /// pair's, whose spare this generator keeps.
+  Rng take_gaussians(std::size_t n);
+
   /// Bernoulli draw with probability p of returning true.
   bool bernoulli(double p);
 

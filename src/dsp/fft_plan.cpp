@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <mutex>
 #include <numbers>
 #include <unordered_map>
 #include <utility>
@@ -11,6 +12,18 @@
 #include "dsp/simd.hpp"
 
 namespace vibguard::dsp {
+
+// The bit-reversal permutation as the swap pairs (i < j) the in-place pass
+// applies, and the per-stage twiddles (stages concatenated: len = 8, 16,
+// ..., n; 64-byte aligned, since the SIMD butterfly kernels stream them
+// every transform). Shared by every plan that runs size n.
+struct Pow2Tables {
+  explicit Pow2Tables(std::size_t n);
+
+  std::vector<std::size_t> bitrev;
+  AlignedVector<Complex> twiddles;
+};
+
 namespace {
 
 // exp(-2*pi*i * j / len) — forward-transform twiddle.
@@ -21,7 +34,41 @@ Complex unit_root(std::size_t j, std::size_t len) {
   return Complex(std::cos(angle), std::sin(angle));
 }
 
+// The process-wide table for power-of-two size n. Entries live as long as
+// the process; there is one per size ever run, so together they take at
+// most twice the largest.
+std::shared_ptr<const Pow2Tables> shared_pow2_tables(std::size_t n) {
+  static std::mutex mutex;
+  static std::unordered_map<std::size_t, std::shared_ptr<const Pow2Tables>>
+      tables;
+  const std::lock_guard<std::mutex> lock(mutex);
+  auto& slot = tables[n];
+  if (slot == nullptr) slot = std::make_shared<const Pow2Tables>(n);
+  return slot;
+}
+
 }  // namespace
+
+Pow2Tables::Pow2Tables(std::size_t n) {
+  // Swap pairs, so the hot loop touches each pair exactly once.
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) {
+      bitrev.push_back(i);
+      bitrev.push_back(j);
+    }
+  }
+
+  // Per-stage twiddles for stages len = 8..n (the len = 2 and len = 4
+  // stages are multiplication-free and handled inline).
+  for (std::size_t len = 8; len <= n; len <<= 1) {
+    for (std::size_t j = 0; j < len / 2; ++j) {
+      twiddles.push_back(unit_root(j, len));
+    }
+  }
+}
 
 FftPlan::FftPlan(std::size_t n) : n_(n) { init(/*build_real=*/true); }
 
@@ -32,28 +79,7 @@ void FftPlan::init(bool build_real) {
   is_pow2_ = is_pow2(n_);
   pow2_n_ = is_pow2_ ? n_ : next_pow2(2 * n_ - 1);
 
-  // Bit-reversal permutation, stored as the swap pairs (i < j) the in-place
-  // pass applies, so the hot loop touches each pair exactly once.
-  const std::size_t pn = pow2_n_;
-  bitrev_.clear();
-  for (std::size_t i = 1, j = 0; i < pn; ++i) {
-    std::size_t bit = pn >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) {
-      bitrev_.push_back(i);
-      bitrev_.push_back(j);
-    }
-  }
-
-  // Per-stage twiddles for stages len = 8..pn (the len = 2 and len = 4
-  // stages are multiplication-free and handled inline).
-  twiddles_.clear();
-  for (std::size_t len = 8; len <= pn; len <<= 1) {
-    for (std::size_t j = 0; j < len / 2; ++j) {
-      twiddles_.push_back(unit_root(j, len));
-    }
-  }
+  pow2_ = shared_pow2_tables(pow2_n_);
 
   if (!is_pow2_) {
     // Bluestein: cache the chirp w[k] = exp(-i*pi*k^2/n) and the forward
@@ -73,7 +99,6 @@ void FftPlan::init(bool build_real) {
       bspec_[k] = bspec_[m_ - k] = std::conj(chirp_[k]);
     }
     run_pow2(bspec_, false);
-    work_.resize(m_);
   }
 
   if (build_real && n_ % 2 == 0) {
@@ -88,8 +113,9 @@ void FftPlan::init(bool build_real) {
 void FftPlan::run_pow2(std::span<Complex> data, bool inverse) const {
   const std::size_t n = data.size();
   Complex* d = data.data();
-  for (std::size_t p = 0; p + 1 < bitrev_.size(); p += 2) {
-    std::swap(d[bitrev_[p]], d[bitrev_[p + 1]]);
+  const std::vector<std::size_t>& bitrev = pow2_->bitrev;
+  for (std::size_t p = 0; p + 1 < bitrev.size(); p += 2) {
+    std::swap(d[bitrev[p]], d[bitrev[p + 1]]);
   }
 
   const simd::Ops& ops = simd::ops();
@@ -100,7 +126,7 @@ void FftPlan::run_pow2(std::span<Complex> data, bool inverse) const {
 
   // Remaining stages read twiddles from the table and run fused through one
   // dispatched kernel (scalar fallback is the pre-SIMD loop).
-  ops.fft_stages(d, n, twiddles_.data(), inverse);
+  ops.fft_stages(d, n, pow2_->twiddles.data(), inverse);
 
   if (inverse) {
     const double inv_n = 1.0 / static_cast<double>(n);
@@ -120,20 +146,26 @@ void FftPlan::transform(std::span<Complex> data, bool inverse) const {
   if (inverse) {
     for (Complex& x : data) x = std::conj(x);
   }
-  std::fill(work_.begin() + static_cast<std::ptrdiff_t>(n_), work_.end(),
+  // One buffer per thread serves every Bluestein plan on it: a transform
+  // never nests another Bluestein transform. It only grows, so plans of
+  // alternating sizes never refill it.
+  thread_local AlignedVector<Complex> scratch;
+  if (scratch.size() < m_) scratch.resize(m_);
+  const std::span<Complex> work(scratch.data(), m_);
+  std::fill(work.begin() + static_cast<std::ptrdiff_t>(n_), work.end(),
             Complex(0.0, 0.0));
   const simd::Ops& ops = simd::ops();
-  ops.complex_multiply_to(work_.data(), data.data(), chirp_.data(), n_);
-  run_pow2(work_, false);
-  ops.complex_multiply_to(work_.data(), work_.data(), bspec_.data(), m_);
-  run_pow2(work_, true);
+  ops.complex_multiply_to(work.data(), data.data(), chirp_.data(), n_);
+  run_pow2(work, false);
+  ops.complex_multiply_to(work.data(), work.data(), bspec_.data(), m_);
+  run_pow2(work, true);
   if (inverse) {
     const double inv_n = 1.0 / static_cast<double>(n_);
     for (std::size_t k = 0; k < n_; ++k) {
-      data[k] = std::conj(work_[k] * chirp_[k]) * inv_n;
+      data[k] = std::conj(work[k] * chirp_[k]) * inv_n;
     }
   } else {
-    for (std::size_t k = 0; k < n_; ++k) data[k] = work_[k] * chirp_[k];
+    for (std::size_t k = 0; k < n_; ++k) data[k] = work[k] * chirp_[k];
   }
 }
 

@@ -10,7 +10,11 @@
 //
 // Plans are cached per thread by size (get_plan), so hot loops such as the
 // STFT pay the setup cost once per (thread, size) and the cache needs no
-// locking.
+// locking. The radix-2 tables depend only on the power-of-two size a plan
+// runs, so every plan that runs one size shares one immutable copy, and
+// Bluestein plans take their convolution buffer from per-thread scratch:
+// a new length costs its chirp and kernel spectrum, not another set of
+// tables.
 #pragma once
 
 #include <complex>
@@ -24,6 +28,9 @@
 namespace vibguard::dsp {
 
 using Complex = std::complex<double>;
+
+/// Immutable radix-2 tables for one power-of-two size (fft_plan.cpp).
+struct Pow2Tables;
 
 /// Precomputed transform of one fixed size. A plan's scratch buffers make it
 /// safe for repeated use from one thread but not for concurrent calls;
@@ -76,18 +83,17 @@ class FftPlan {
   std::size_t n_ = 0;
   bool is_pow2_ = false;
 
-  // Power-of-two machinery (for n_ or, when Bluestein, for m_). The
-  // Complex tables are 64-byte aligned: the SIMD butterfly/split kernels
-  // stream them every transform.
+  // Power-of-two machinery (for n_ or, when Bluestein, for m_), shared
+  // with every other plan of that size. The Complex tables are 64-byte
+  // aligned: the SIMD butterfly/split kernels stream them every transform.
   std::size_t pow2_n_ = 0;
-  std::vector<std::size_t> bitrev_;
-  AlignedVector<Complex> twiddles_;  ///< stages concatenated: len=8,16,...,n
+  std::shared_ptr<const Pow2Tables> pow2_;
 
-  // Bluestein machinery (non-power-of-two sizes).
+  // Bluestein machinery (non-power-of-two sizes). The length-m_
+  // convolution buffer is per-thread scratch.
   std::size_t m_ = 0;                ///< next_pow2(2n - 1) work size
   AlignedVector<Complex> chirp_;     ///< w[k] = exp(-i*pi*k^2/n)
   AlignedVector<Complex> bspec_;     ///< forward FFT of the chirp kernel b
-  mutable AlignedVector<Complex> work_;  ///< length-m_ convolution scratch
 
   // Real-input machinery (even n_ only).
   std::unique_ptr<FftPlan> half_;       ///< n_/2-point complex plan

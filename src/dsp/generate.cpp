@@ -51,7 +51,7 @@ Signal white_noise(double duration_s, double sample_rate, double stddev,
 Signal pink_noise(double duration_s, double sample_rate, double stddev,
                   Rng& rng) {
   const std::size_t n = sample_count(duration_s, sample_rate);
-  constexpr std::size_t kRows = 16;
+  constexpr std::size_t kRows = kPinkNoiseRows;
   std::vector<double> rows(kRows, 0.0);
   for (double& r : rows) r = rng.gaussian();
   std::vector<double> out(n);

@@ -21,6 +21,10 @@ Signal chirp(double f0_hz, double f1_hz, double duration_s,
 Signal white_noise(double duration_s, double sample_rate, double stddev,
                    Rng& rng);
 
+/// Rows of pink_noise's Voss–McCartney generator. It draws one standard
+/// normal per row, then one per sample.
+inline constexpr std::size_t kPinkNoiseRows = 16;
+
 /// Pink-ish noise (-3 dB/octave) via the Voss–McCartney row algorithm.
 Signal pink_noise(double duration_s, double sample_rate, double stddev,
                   Rng& rng);

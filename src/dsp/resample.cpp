@@ -30,8 +30,8 @@ void interpolate_at_rate_into(const Signal& in, double target_rate,
     return;
   }
   const double ratio = in.sample_rate() / target_rate;
-  const auto out_len = static_cast<std::size_t>(
-      std::floor(static_cast<double>(in.size()) / ratio));
+  const std::size_t out_len =
+      resampled_size(in.size(), in.sample_rate(), target_rate);
   out.reset(target_rate);
   out.resize(out_len);
   simd::linear_interp(in.samples().data(), in.size(), ratio,
@@ -45,6 +45,13 @@ Signal interpolate_at_rate(const Signal& in, double target_rate) {
 }
 
 }  // namespace
+
+std::size_t resampled_size(std::size_t n, double rate, double target_rate) {
+  if (n == 0 || target_rate == rate) return n;
+  // The anti-alias FIR keeps the length; interpolation sets it.
+  const double ratio = rate / target_rate;
+  return static_cast<std::size_t>(std::floor(static_cast<double>(n) / ratio));
+}
 
 Signal resample(const Signal& in, double target_rate) {
   VIBGUARD_REQUIRE(target_rate > 0.0, "target rate must be positive");

@@ -11,6 +11,8 @@
 //                       cross-domain sensing exploits (Sec. IV-B).
 #pragma once
 
+#include <cstddef>
+
 #include "common/signal.hpp"
 
 namespace vibguard::dsp {
@@ -18,6 +20,9 @@ namespace vibguard::dsp {
 /// Band-limited resampling to `target_rate` (anti-alias FIR + linear
 /// interpolation on the filtered signal).
 Signal resample(const Signal& in, double target_rate);
+
+/// Length of resample() output for `n` samples at `rate`.
+std::size_t resampled_size(std::size_t n, double rate, double target_rate);
 
 /// Point-samples `in` at `target_rate` without an anti-alias filter,
 /// intentionally folding content above target_rate/2 into the output band.

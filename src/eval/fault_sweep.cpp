@@ -10,7 +10,6 @@
 #include "core/segmentation.hpp"
 #include "eval/experiment.hpp"
 #include "eval/metrics.hpp"
-#include "speech/command.hpp"
 #include "speech/speaker.hpp"
 
 namespace vibguard::eval {
@@ -49,25 +48,16 @@ FaultSweepResult run_fault_sweep(const FaultSweepConfig& config,
 
   // Render the clean trial population once, mirroring ExperimentRunner's
   // deterministic definition: one shared simulator stream in a fixed order.
+  const std::size_t threads =
+      config.threads != 0 ? config.threads : recommended_threads();
+  ThreadPool pool(
+      std::min(threads, config.legit_trials + config.attack_trials));
   Rng rng(seed);
   const auto speakers = speech::sample_population(config.num_speakers, rng);
   ScenarioSimulator sim(config.scenario, seed ^ 0x5ce9a21ULL);
-  const auto lexicon = speech::command_lexicon();
-
-  std::vector<TrialRecordings> trials;
-  trials.reserve(config.legit_trials + config.attack_trials);
-  for (std::size_t i = 0; i < config.legit_trials; ++i) {
-    const auto& user = speakers[i % speakers.size()];
-    const auto& cmd = lexicon[i % lexicon.size()];
-    trials.push_back(sim.legitimate_trial(cmd, user));
-  }
-  for (std::size_t i = 0; i < config.attack_trials; ++i) {
-    const auto& victim = speakers[i % speakers.size()];
-    const auto& adversary = speakers[(i + 1) % speakers.size()];
-    const auto& cmd = lexicon[(i * 3 + 1) % lexicon.size()];
-    trials.push_back(
-        sim.attack_trial(config.attack, cmd, victim, adversary));
-  }
+  const std::vector<TrialRecordings> trials =
+      render_trials(sim, speakers, config.legit_trials, config.attack_trials,
+                    config.attack, pool);
 
   const auto& sensitive = reference_sensitive_set();
   std::vector<core::OracleSegmenter> oracles;
@@ -81,9 +71,6 @@ FaultSweepResult run_fault_sweep(const FaultSweepConfig& config,
   defense.sync = config.scenario.sync;
   const core::DefenseSystem system(defense);
 
-  const std::size_t threads =
-      config.threads != 0 ? config.threads : recommended_threads();
-  ThreadPool pool(std::min(threads, trials.size()));
   std::vector<core::Workspace> workspaces(
       std::max<std::size_t>(1, pool.num_threads()));
 

@@ -1,8 +1,15 @@
 // Physical scenario simulation: renders legitimate-user and thru-barrier
 // attack trials into paired (VA, wearable) recordings, replacing the paper's
 // four instrumented rooms (Sec. VII-A).
+//
+// Rendering a trial splits into a draw half, which consumes the simulator's
+// Rng streams in the one-call order and records every value drawn, and a
+// pure realize half. render_trials uses the split to realize a whole
+// population concurrently while drawing it serially, so its recordings are
+// bit-identical to one-call rendering at every thread count.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -11,6 +18,7 @@
 #include "attacks/attack.hpp"
 #include "common/rng.hpp"
 #include "common/signal.hpp"
+#include "common/thread_pool.hpp"
 #include "device/sync.hpp"
 #include "device/wearable.hpp"
 #include "sensors/microphone.hpp"
@@ -51,6 +59,19 @@ struct TrialRecordings {
   double true_delay_s = 0.0;  ///< injected network delay
 };
 
+/// Everything one legitimate_trial() or attack_trial() call draws from the
+/// simulator's streams, in their draw order.
+struct TrialDraw {
+  std::optional<speech::UtteranceDraw> utterance;  ///< legitimate speech
+  double spl = 0.0;                                ///< its speaking level
+  std::optional<attacks::AttackDraw> attack;       ///< or an attack
+  acoustics::Room::RenderDraw at_va;
+  acoustics::Room::RenderDraw at_wearable;
+  Rng va_noise{0};        ///< VA microphone self-noise
+  Rng wearable_noise{0};  ///< wearable microphone self-noise
+  double delay_s = 0.0;   ///< network notification delay
+};
+
 /// Simulates trials for one room/geometry configuration.
 class ScenarioSimulator {
  public:
@@ -68,6 +89,20 @@ class ScenarioSimulator {
                                const speech::SpeakerProfile& victim,
                                const speech::SpeakerProfile& adversary);
 
+  /// The random halves of legitimate_trial() and attack_trial(): same
+  /// arguments, same use of the simulator's Rng streams.
+  TrialDraw draw_legitimate(const speech::VoiceCommand& command,
+                            const speech::SpeakerProfile& user);
+  TrialDraw draw_attack(attacks::AttackType type,
+                        const speech::VoiceCommand& command,
+                        const speech::SpeakerProfile& victim,
+                        const speech::SpeakerProfile& adversary);
+
+  /// The pure half: legitimate_trial() == realize(draw_legitimate(...))
+  /// and attack_trial() == realize(draw_attack(...)), bit for bit. Safe to
+  /// call concurrently.
+  TrialRecordings realize(const TrialDraw& draw) const;
+
   /// The sound arriving at the VA device for an arbitrary attack waveform
   /// (used by the Table I attack study).
   Signal attack_sound_at_va(const Signal& attack_audio, double attack_spl);
@@ -75,9 +110,14 @@ class ScenarioSimulator {
   Rng& rng() { return rng_; }
 
  private:
+  /// Draws the rest of a trial whose source has `samples` samples at
+  /// `sample_rate`: both room renders, both recordings, the delay.
+  void draw_pair(std::size_t samples, double sample_rate, double to_va_m,
+                 double to_wearable_m, TrialDraw& draw);
+
   /// Renders `source` at both device positions and packages recordings.
-  TrialRecordings record_pair(const Signal& source, double to_va_m,
-                              double to_wearable_m);
+  TrialRecordings record_pair(const Signal& source,
+                              const TrialDraw& draw) const;
 
   ScenarioConfig config_;
   Rng rng_;
@@ -87,6 +127,18 @@ class ScenarioSimulator {
   sensors::Microphone va_mic_;
   device::SyncChannel sync_;
   attacks::AttackGenerator attack_gen_;
+  speech::UtteranceBuilder builder_;
 };
+
+/// Renders the standard trial population on `sim`: `legit` legitimate
+/// commands, the `speakers` taking turns through the command lexicon, then
+/// `attacks` attacks of `type`, each speaker in turn the victim and the
+/// next one the adversary. Recordings equal those of legitimate_trial and
+/// attack_trial called in that order, bit for bit: every trial is drawn
+/// serially, then all are realized on `pool`.
+std::vector<TrialRecordings> render_trials(
+    ScenarioSimulator& sim, const std::vector<speech::SpeakerProfile>& speakers,
+    std::size_t legit, std::size_t attacks, attacks::AttackType type,
+    ThreadPool& pool);
 
 }  // namespace vibguard::eval

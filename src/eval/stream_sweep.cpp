@@ -6,11 +6,11 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "core/segmentation.hpp"
 #include "eval/confidence.hpp"
 #include "eval/experiment.hpp"
 #include "eval/metrics.hpp"
-#include "speech/command.hpp"
 #include "speech/speaker.hpp"
 
 namespace vibguard::eval {
@@ -84,29 +84,21 @@ StreamSweepResult run_stream_sweep(const StreamSweepConfig& config,
   Rng speaker_rng(seed);
   const auto speakers =
       speech::sample_population(config.num_speakers, speaker_rng);
-  const auto& lexicon = speech::command_lexicon();
   ScenarioSimulator sim(config.scenario, seed ^ 0x5ce9a21ULL);
   const Rng score_rng(seed ^ 0x7e57ULL);
 
   // Render calibration then evaluation trials (legit before attack within
   // each pass), consuming the simulator's one rng stream in a fixed order.
-  std::vector<TrialRecordings> trials;
-  const std::size_t per_pass_legit[2] = {config.calib_trials,
-                                         config.eval_trials};
-  for (int pass = 0; pass < 2; ++pass) {
-    const std::size_t n = per_pass_legit[pass];
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& user = speakers[i % speakers.size()];
-      const auto& cmd = lexicon[i % lexicon.size()];
-      trials.push_back(sim.legitimate_trial(cmd, user));
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& victim = speakers[i % speakers.size()];
-      const auto& adversary = speakers[(i + 1) % speakers.size()];
-      const auto& cmd = lexicon[(i * 3 + 1) % lexicon.size()];
-      trials.push_back(
-          sim.attack_trial(config.attack, cmd, victim, adversary));
-    }
+  ThreadPool pool(std::min(recommended_threads(),
+                           2 * std::max(config.calib_trials,
+                                        config.eval_trials)));
+  std::vector<TrialRecordings> trials =
+      render_trials(sim, speakers, config.calib_trials, config.calib_trials,
+                    config.attack, pool);
+  for (TrialRecordings& trial :
+       render_trials(sim, speakers, config.eval_trials, config.eval_trials,
+                     config.attack, pool)) {
+    trials.push_back(std::move(trial));
   }
   const std::size_t calib_count = 2 * config.calib_trials;
 

@@ -5,9 +5,9 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "eval/experiment.hpp"
 #include "eval/metrics.hpp"
-#include "speech/command.hpp"
 #include "speech/speaker.hpp"
 
 namespace vibguard::eval {
@@ -53,21 +53,10 @@ void render_sweep_population(const LoadSweepConfig& config,
   Rng rng(seed);
   const auto speakers = speech::sample_population(config.num_speakers, rng);
   ScenarioSimulator sim(config.scenario, seed ^ 0x5ce9a21ULL);
-  const auto lexicon = speech::command_lexicon();
-
-  pop.trials.reserve(config.legit_trials + config.attack_trials);
-  for (std::size_t i = 0; i < config.legit_trials; ++i) {
-    const auto& user = speakers[i % speakers.size()];
-    const auto& cmd = lexicon[i % lexicon.size()];
-    pop.trials.push_back(sim.legitimate_trial(cmd, user));
-  }
-  for (std::size_t i = 0; i < config.attack_trials; ++i) {
-    const auto& victim = speakers[i % speakers.size()];
-    const auto& adversary = speakers[(i + 1) % speakers.size()];
-    const auto& cmd = lexicon[(i * 3 + 1) % lexicon.size()];
-    pop.trials.push_back(
-        sim.attack_trial(config.attack, cmd, victim, adversary));
-  }
+  ThreadPool pool(std::min(recommended_threads(),
+                           config.legit_trials + config.attack_trials));
+  pop.trials = render_trials(sim, speakers, config.legit_trials,
+                             config.attack_trials, config.attack, pool);
 
   const auto& sensitive = reference_sensitive_set();
   pop.oracles.reserve(pop.trials.size());

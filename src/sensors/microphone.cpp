@@ -26,12 +26,24 @@ double Microphone::response(double f_hz) const {
 }
 
 Signal Microphone::record(const Signal& sound, Rng& rng) const {
+  return realize(sound, draw(sound.size(), sound.sample_rate(), rng));
+}
+
+Rng Microphone::draw(std::size_t samples, double sample_rate,
+                     Rng& rng) const {
+  // One noise sample per recorded sample, at the microphone's rate.
+  return rng.take_gaussians(
+      dsp::resampled_size(samples, sample_rate, config_.sample_rate));
+}
+
+Signal Microphone::realize(const Signal& sound, const Rng& self_noise) const {
   Signal in = sound;
   if (in.sample_rate() != config_.sample_rate) {
     in = dsp::resample(in, config_.sample_rate);
   }
   Signal out =
       dsp::apply_gain_curve(in, [this](double f) { return response(f); });
+  Rng rng = self_noise;
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] += rng.gaussian(0.0, config_.noise_floor_rms);
     out[i] = std::clamp(out[i], -config_.clip_level, config_.clip_level);

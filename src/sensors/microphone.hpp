@@ -1,6 +1,8 @@
 // Microphone model: band-limited response, self-noise, clipping.
 #pragma once
 
+#include <cstddef>
+
 #include "common/rng.hpp"
 #include "common/signal.hpp"
 
@@ -25,6 +27,13 @@ class Microphone {
   /// Records `sound` (resampling to the microphone rate if needed), applying
   /// the frequency response, self-noise and clipping.
   Signal record(const Signal& sound, Rng& rng) const;
+
+  /// The random half of record() for a sound of `samples` samples at
+  /// `sample_rate`: reserves the recording's self-noise and returns it.
+  Rng draw(std::size_t samples, double sample_rate, Rng& rng) const;
+
+  /// The pure half: record() == realize(sound, draw(...)), bit for bit.
+  Signal realize(const Signal& sound, const Rng& self_noise) const;
 
   /// Amplitude response at frequency `f_hz`.
   double response(double f_hz) const;

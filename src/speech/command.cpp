@@ -78,37 +78,64 @@ const VoiceCommand& command_by_text(const std::string& text) {
 UtteranceBuilder::UtteranceBuilder(SynthesizerConfig config)
     : synth_(config) {}
 
-Utterance UtteranceBuilder::compose(const std::vector<std::string>& symbols,
-                                    const std::string& text,
-                                    const SpeakerProfile& speaker,
-                                    Rng& rng) const {
-  Utterance utt;
-  utt.text = text;
-  utt.speaker_id = speaker.id;
-  const double fs = synth_.config().sample_rate;
+namespace {
+
+// Phonemes are cross-faded over 5 ms as in connected speech, never over
+// more than either side holds.
+std::size_t crossfade(double fs, std::size_t audio, std::size_t seg) {
+  return std::min<std::size_t>(
+      {static_cast<std::size_t>(0.005 * fs), audio, seg});
+}
+
+}  // namespace
+
+UtteranceDraw UtteranceBuilder::draw_symbols(
+    const std::vector<std::string>& symbols, const std::string& text,
+    const SpeakerProfile& speaker, Rng& rng) const {
+  UtteranceDraw d;
+  d.text = text;
+  d.speaker_id = speaker.id;
+  d.sample_rate = synth_.config().sample_rate;
+  d.phonemes.reserve(symbols.size());
+  d.alignment.reserve(symbols.size());
   for (const std::string& sym : symbols) {
-    const Phoneme& p = phoneme_by_symbol(sym);
-    Signal seg = synth_.synthesize(p, speaker, rng);
-    std::size_t begin;
-    if (utt.audio.empty()) {
-      begin = 0;
-      utt.audio = std::move(seg);
+    d.phonemes.push_back(synth_.draw(phoneme_by_symbol(sym), speaker, rng));
+    const std::size_t seg = d.phonemes.back().samples;
+    std::size_t begin = 0;
+    if (d.samples == 0) {
+      d.samples = seg;
     } else {
-      // Cross-fade as in connected speech; the boundary is placed at the
-      // center of the fade region.
-      const auto fade = std::min<std::size_t>(
-          {static_cast<std::size_t>(0.005 * fs), utt.audio.size(),
-           seg.size()});
-      const std::size_t base = utt.audio.size() - fade;
-      for (std::size_t i = 0; i < fade; ++i) {
-        const double g = static_cast<double>(i) / static_cast<double>(fade);
-        utt.audio[base + i] = utt.audio[base + i] * (1.0 - g) + seg[i] * g;
-      }
-      utt.audio.append(seg.slice(fade, seg.size()));
+      // The boundary sits at the center of the fade region.
+      const std::size_t fade = crossfade(d.sample_rate, d.samples, seg);
+      const std::size_t base = d.samples - fade;
+      d.samples = base + seg;
       begin = base + fade / 2;
-      if (!utt.alignment.empty()) utt.alignment.back().end = begin;
+      if (!d.alignment.empty()) d.alignment.back().end = begin;
     }
-    utt.alignment.push_back({sym, begin, utt.audio.size()});
+    d.alignment.push_back({sym, begin, d.samples});
+  }
+  return d;
+}
+
+Utterance UtteranceBuilder::realize(const UtteranceDraw& d) const {
+  Utterance utt;
+  utt.text = d.text;
+  utt.speaker_id = d.speaker_id;
+  utt.alignment = d.alignment;
+  for (const PhonemeDraw& p : d.phonemes) {
+    Signal seg = synth_.realize(p);
+    if (utt.audio.empty()) {
+      utt.audio = std::move(seg);
+      continue;
+    }
+    const std::size_t fade =
+        crossfade(d.sample_rate, utt.audio.size(), seg.size());
+    const std::size_t base = utt.audio.size() - fade;
+    for (std::size_t i = 0; i < fade; ++i) {
+      const double g = static_cast<double>(i) / static_cast<double>(fade);
+      utt.audio[base + i] = utt.audio[base + i] * (1.0 - g) + seg[i] * g;
+    }
+    utt.audio.append(seg.slice(fade, seg.size()));
   }
   return utt;
 }
@@ -116,9 +143,15 @@ Utterance UtteranceBuilder::compose(const std::vector<std::string>& symbols,
 Utterance UtteranceBuilder::build(const VoiceCommand& command,
                                   const SpeakerProfile& speaker,
                                   Rng& rng) const {
+  return realize(draw(command, speaker, rng));
+}
+
+UtteranceDraw UtteranceBuilder::draw(const VoiceCommand& command,
+                                     const SpeakerProfile& speaker,
+                                     Rng& rng) const {
   VIBGUARD_REQUIRE(!command.phonemes.empty(),
                    "command must contain at least one phoneme");
-  return compose(command.phonemes, command.text, speaker, rng);
+  return draw_symbols(command.phonemes, command.text, speaker, rng);
 }
 
 Utterance UtteranceBuilder::build_random(std::size_t num_phonemes,
@@ -141,7 +174,7 @@ Utterance UtteranceBuilder::build_random(std::size_t num_phonemes,
       }
     }
   }
-  return compose(symbols, "<random>", speaker, rng);
+  return realize(draw_symbols(symbols, "<random>", speaker, rng));
 }
 
 }  // namespace vibguard::speech

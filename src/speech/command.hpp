@@ -51,6 +51,17 @@ struct Utterance {
   std::string speaker_id;
 };
 
+/// Everything one build() call draws: each phoneme's draw in order, plus
+/// the alignment and length they fix (crossfades are deterministic).
+struct UtteranceDraw {
+  std::string text;
+  std::string speaker_id;
+  std::vector<PhonemeDraw> phonemes;
+  std::vector<PhonemeSpan> alignment;
+  std::size_t samples = 0;     ///< length of the realized audio
+  double sample_rate = 0.0;    ///< its sample rate
+};
+
 /// Renders commands into aligned utterances.
 class UtteranceBuilder {
  public:
@@ -61,6 +72,13 @@ class UtteranceBuilder {
   Utterance build(const VoiceCommand& command, const SpeakerProfile& speaker,
                   Rng& rng) const;
 
+  /// The random half of build(): same arguments, same Rng use.
+  UtteranceDraw draw(const VoiceCommand& command,
+                     const SpeakerProfile& speaker, Rng& rng) const;
+
+  /// The pure half: build() == realize(draw(...)), bit for bit.
+  Utterance realize(const UtteranceDraw& draw) const;
+
   /// Renders a random phoneme sequence of the given length drawn from the
   /// common phonemes (frequency-weighted as in Table II).
   Utterance build_random(std::size_t num_phonemes,
@@ -69,9 +87,9 @@ class UtteranceBuilder {
   const Synthesizer& synthesizer() const { return synth_; }
 
  private:
-  Utterance compose(const std::vector<std::string>& symbols,
-                    const std::string& text, const SpeakerProfile& speaker,
-                    Rng& rng) const;
+  UtteranceDraw draw_symbols(const std::vector<std::string>& symbols,
+                             const std::string& text,
+                             const SpeakerProfile& speaker, Rng& rng) const;
 
   Synthesizer synth_;
 };

@@ -68,24 +68,30 @@ double Synthesizer::formant_gain(const Phoneme& phoneme,
   return formant_set_gain(phoneme.formants, speaker.formant_scale, f_hz);
 }
 
-Signal Synthesizer::voiced_component(const Phoneme& phoneme,
-                                     const SpeakerProfile& speaker,
-                                     double duration_s, Rng& rng) const {
-  const double fs = config_.sample_rate;
-  const auto n = static_cast<std::size_t>(std::round(duration_s * fs));
-  std::vector<double> out(n, 0.0);
-  const double f0 = speaker.f0_hz * (1.0 + rng.gaussian(0.0, 0.03));
+std::size_t Synthesizer::samples_for(double duration_s) const {
+  return static_cast<std::size_t>(
+      std::round(duration_s * config_.sample_rate));
+}
+
+VoicedDraw Synthesizer::draw_voiced(const Phoneme& phoneme,
+                                    const SpeakerProfile& speaker,
+                                    double duration_s, Rng& rng) const {
+  VoicedDraw v;
+  v.duration_s = duration_s;
+  v.f0 = speaker.f0_hz * (1.0 + rng.gaussian(0.0, 0.03));
   const auto harmonics =
-      static_cast<std::size_t>(config_.max_harmonic_hz / f0);
+      static_cast<std::size_t>(config_.max_harmonic_hz / v.f0);
 
   // Slow F0 drift across the phoneme (declination + jitter).
-  const double drift = rng.gaussian(0.0, speaker.f0_jitter * 2.0);
+  v.drift = rng.gaussian(0.0, speaker.f0_jitter * 2.0);
 
   // Diphthongs glide from `formants` to `end_formants`; static phonemes
-  // keep a constant per-harmonic amplitude.
+  // keep a constant per-harmonic amplitude. A harmonic inaudible at both
+  // ends draws no phase, so the amplitudes are part of the draw.
   const bool glide = !phoneme.end_formants.empty();
+  v.harmonics.reserve(harmonics);
   for (std::size_t k = 1; k <= harmonics; ++k) {
-    const double fk = f0 * static_cast<double>(k);
+    const double fk = v.f0 * static_cast<double>(k);
     const double shimmer = 1.0 + rng.gaussian(0.0, speaker.shimmer);
     const double amp_start =
         source_tilt(fk) * formant_gain(phoneme, speaker, fk) * shimmer;
@@ -96,48 +102,69 @@ Signal Synthesizer::voiced_component(const Phoneme& phoneme,
                     shimmer
               : amp_start;
     if (std::abs(amp_start) < 1e-6 && std::abs(amp_end) < 1e-6) continue;
-    const double phase = rng.uniform(0.0, 2.0 * std::numbers::pi);
+    v.harmonics.push_back(
+        {k, amp_start, amp_end, rng.uniform(0.0, 2.0 * std::numbers::pi)});
+  }
+
+  // Breathiness: aspiration noise shaped by the same formants.
+  if (speaker.breathiness > 0.0 && !phoneme.formants.empty()) {
+    v.breath = VoicedDraw::Breath{
+        phoneme.formants, speaker.formant_scale, speaker.breathiness,
+        rng.take_gaussians(samples_for(duration_s))};
+  }
+  return v;
+}
+
+Signal Synthesizer::voiced_component(const VoicedDraw& v) const {
+  const double fs = config_.sample_rate;
+  const std::size_t n = samples_for(v.duration_s);
+  std::vector<double> out(n, 0.0);
+  for (const VoicedDraw::Harmonic& h : v.harmonics) {
+    const double fk = v.f0 * static_cast<double>(h.k);
     const double w = 2.0 * std::numbers::pi * fk / fs;
-    const double dw = w * drift / static_cast<double>(std::max<std::size_t>(n, 1));
+    const double dw =
+        w * v.drift / static_cast<double>(std::max<std::size_t>(n, 1));
     const double amp_step =
-        n > 1 ? (amp_end - amp_start) / static_cast<double>(n - 1) : 0.0;
+        n > 1 ? (h.amp_end - h.amp_start) / static_cast<double>(n - 1)
+              : 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const double t = static_cast<double>(i);
-      out[i] += (amp_start + amp_step * t) *
-                std::sin((w + dw * t * 0.5) * t + phase);
+      out[i] += (h.amp_start + amp_step * t) *
+                std::sin((w + dw * t * 0.5) * t + h.phase);
     }
   }
   Signal sig(std::move(out), fs);
 
-  // Breathiness: aspiration noise shaped by the same formants.
-  if (speaker.breathiness > 0.0 && !phoneme.formants.empty()) {
-    Signal breath = dsp::white_noise(duration_s, fs, 1.0, rng);
-    breath = dsp::apply_gain_curve(breath, [&](double f) {
-      return source_tilt(f) * formant_gain(phoneme, speaker, f);
+  if (v.breath) {
+    const VoicedDraw::Breath& b = *v.breath;
+    Rng rng = b.noise;
+    Signal breath = dsp::white_noise(v.duration_s, fs, 1.0, rng);
+    breath = dsp::apply_gain_curve(breath, [&b](double f) {
+      return source_tilt(f) * formant_set_gain(b.formants, b.formant_scale, f);
     });
-    const double target = sig.rms() * speaker.breathiness;
+    const double target = sig.rms() * b.breathiness;
     breath = breath.scaled_to_rms(target);
     if (breath.size() == sig.size()) sig.add(breath);
   }
   return sig;
 }
 
-Signal Synthesizer::noise_component(const Phoneme& phoneme,
-                                    double duration_s,
-                                    const SpeakerProfile& speaker,
-                                    Rng& rng) const {
-  const double fs = config_.sample_rate;
-  if (!phoneme.frication.has_value()) {
-    return Signal::zeros(
-        static_cast<std::size_t>(std::round(duration_s * fs)), fs);
-  }
+NoiseDraw Synthesizer::draw_noise(const Phoneme& phoneme, double duration_s,
+                                  const SpeakerProfile& speaker,
+                                  Rng& rng) const {
   FricationBand band = *phoneme.frication;
   band.low_hz *= speaker.formant_scale;
   band.high_hz = std::min(band.high_hz * speaker.formant_scale,
                           config_.max_harmonic_hz);
-  Signal noise = dsp::white_noise(duration_s, fs, 1.0, rng);
+  return {duration_s, band, rng.take_gaussians(samples_for(duration_s))};
+}
+
+Signal Synthesizer::noise_component(const NoiseDraw& d) const {
+  Rng rng = d.noise;
+  Signal noise =
+      dsp::white_noise(d.duration_s, config_.sample_rate, 1.0, rng);
   return dsp::apply_gain_curve(
-      noise, [&band](double f) { return band_gain(f, band); });
+      noise, [&d](double f) { return band_gain(f, d.band); });
 }
 
 void Synthesizer::apply_edge_ramp(Signal& s) const {
@@ -154,67 +181,91 @@ void Synthesizer::apply_edge_ramp(Signal& s) const {
 Signal Synthesizer::synthesize(const Phoneme& phoneme,
                                const SpeakerProfile& speaker, Rng& rng,
                                double duration_scale) const {
+  return realize(draw(phoneme, speaker, rng, duration_scale));
+}
+
+PhonemeDraw Synthesizer::draw(const Phoneme& phoneme,
+                              const SpeakerProfile& speaker, Rng& rng,
+                              double duration_scale) const {
   VIBGUARD_REQUIRE(duration_scale > 0.0, "duration scale must be positive");
-  const double fs = config_.sample_rate;
+  VIBGUARD_REQUIRE(speaker.f0_hz > 0.0 && std::isfinite(speaker.f0_hz),
+                   "speaker F0 must be positive and finite");
+  PhonemeDraw d;
   const double dur =
       phoneme.duration_s * duration_scale * rng.uniform(0.85, 1.15);
-
-  Signal out;
+  const bool voiced = phoneme.voiced && !phoneme.formants.empty();
   switch (phoneme.cls) {
     case PhonemeClass::kPlosive:
     case PhonemeClass::kAffricate: {
       // Closure silence, then a noise burst; voiced stops add a low
       // "voice bar" during closure; affricates extend the frication.
-      const double closure_s = 0.4 * dur;
-      const double burst_s =
+      d.burst = true;
+      d.closure_s = 0.4 * dur;
+      d.burst_s =
           phoneme.cls == PhonemeClass::kAffricate ? 0.6 * dur : 0.35 * dur;
-      Signal closure = Signal::zeros(
-          static_cast<std::size_t>(std::round(closure_s * fs)), fs);
-      if (phoneme.voiced && !phoneme.formants.empty()) {
+      if (voiced) {
         // Voice bar: weak low-frequency periodicity during closure.
         Phoneme bar = phoneme;
         bar.formants = {{250.0, 80.0}};
-        Signal vb = voiced_component(bar, speaker, closure_s, rng);
-        vb = vb.scaled_to_rms(0.15);
-        if (vb.size() == closure.size()) closure.add(vb);
+        d.voiced = draw_voiced(bar, speaker, d.closure_s, rng);
       }
-      Signal burst = noise_component(phoneme, burst_s, speaker, rng);
-      apply_edge_ramp(burst);
-      closure.append(burst);
-      out = std::move(closure);
+      if (phoneme.frication.has_value()) {
+        d.noise = draw_noise(phoneme, d.burst_s, speaker, rng);
+      }
+      d.samples = samples_for(d.closure_s) + samples_for(d.burst_s);
       break;
     }
-    default: {
-      Signal voiced;
-      if (phoneme.voiced && !phoneme.formants.empty()) {
-        voiced = voiced_component(phoneme, speaker, dur, rng);
-      }
-      Signal noise;
+    default:
+      if (voiced) d.voiced = draw_voiced(phoneme, speaker, dur, rng);
       if (phoneme.frication.has_value()) {
-        noise = noise_component(phoneme, dur, speaker, rng);
+        d.noise = draw_noise(phoneme, dur, speaker, rng);
       }
-      if (!voiced.empty() && !noise.empty()) {
-        // Voiced fricatives: frication rides on voicing at ~1:1 power.
-        noise = noise.scaled_to_rms(voiced.rms());
-        const std::size_t m = std::min(voiced.size(), noise.size());
-        out = voiced.slice(0, m);
-        Signal tail = noise.slice(0, m);
-        out.add(tail);
-      } else if (!voiced.empty()) {
-        out = std::move(voiced);
-      } else {
-        out = std::move(noise);
-      }
+      d.samples = d.voiced || d.noise ? samples_for(dur) : 0;
       break;
+  }
+  d.target_rms = kReferenceRms * db_to_amplitude(phoneme.intensity_db);
+  return d;
+}
+
+Signal Synthesizer::realize(const PhonemeDraw& d) const {
+  const double fs = config_.sample_rate;
+  Signal out;
+  if (d.burst) {
+    Signal closure = Signal::zeros(samples_for(d.closure_s), fs);
+    if (d.voiced) {
+      Signal vb = voiced_component(*d.voiced);
+      vb = vb.scaled_to_rms(0.15);
+      if (vb.size() == closure.size()) closure.add(vb);
+    }
+    // A stop without frication bursts silence.
+    Signal burst = d.noise ? noise_component(*d.noise)
+                           : Signal::zeros(samples_for(d.burst_s), fs);
+    apply_edge_ramp(burst);
+    closure.append(burst);
+    out = std::move(closure);
+  } else {
+    Signal voiced;
+    if (d.voiced) voiced = voiced_component(*d.voiced);
+    Signal noise;
+    if (d.noise) noise = noise_component(*d.noise);
+    if (!voiced.empty() && !noise.empty()) {
+      // Voiced fricatives: frication rides on voicing at ~1:1 power.
+      noise = noise.scaled_to_rms(voiced.rms());
+      const std::size_t m = std::min(voiced.size(), noise.size());
+      out = voiced.slice(0, m);
+      Signal tail = noise.slice(0, m);
+      out.add(tail);
+    } else if (!voiced.empty()) {
+      out = std::move(voiced);
+    } else {
+      out = std::move(noise);
     }
   }
 
   // Encode the phoneme's relative intensity into the waveform amplitude
   // (ramp first so the final RMS is exact).
   apply_edge_ramp(out);
-  const double target_rms =
-      kReferenceRms * db_to_amplitude(phoneme.intensity_db);
-  out = out.scaled_to_rms(target_rms);
+  out = out.scaled_to_rms(d.target_rms);
   return out;
 }
 

@@ -72,5 +72,13 @@ TEST(AmbientTest, RejectsNegativeDuration) {
                vibguard::InvalidArgument);
 }
 
+TEST(AmbientTest, RejectsMusicBelowTwoHertz) {
+  // Music changes notes every sample_rate / 2 samples; below 2 Hz that
+  // period truncates to zero.
+  Rng rng(7);
+  EXPECT_THROW(ambient_noise(AmbientKind::kMusic, 2.0, 1.5, 40.0, rng),
+               vibguard::InvalidArgument);
+}
+
 }  // namespace
 }  // namespace vibguard::acoustics

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "common/error.hpp"
@@ -133,6 +135,37 @@ TEST(RngTest, GaussianVectorLength) {
   Rng rng(47);
   EXPECT_EQ(rng.gaussian_vector(17).size(), 17u);
   EXPECT_TRUE(rng.gaussian_vector(0).empty());
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// After take_gaussians(n), the reserved copy draws the n values inline
+// gaussian() calls would, and both it and the parent then continue the
+// inline stream: uniforms, and normals from the right half of the right
+// Box–Muller pair.
+TEST(RngTest, TakeGaussiansMatchesInlineDraws) {
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 1001u}) {
+    for (const bool spare : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " spare=" << spare);
+      Rng expected(61), parent(61);
+      if (spare) {
+        expected.gaussian();  // leaves the pair's second normal pending
+        parent.gaussian();
+      }
+      Rng reserved = parent.take_gaussians(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(bits(reserved.gaussian()), bits(expected.gaussian()));
+      }
+      for (Rng* r : {&parent, &reserved}) {
+        Rng inline_rng = expected;
+        for (int k = 0; k < 3; ++k) {
+          EXPECT_EQ(bits(r->uniform()), bits(inline_rng.uniform()));
+          EXPECT_EQ(bits(r->gaussian()), bits(inline_rng.gaussian()));
+          EXPECT_EQ(bits(r->gaussian()), bits(inline_rng.gaussian()));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <ios>
 #include <numbers>
 
 #include "common/rng.hpp"
 #include "dsp/fft_plan.hpp"
+#include "dsp/simd.hpp"
 
 namespace vibguard::dsp {
 namespace {
@@ -132,6 +136,40 @@ TEST_P(FftSizeTest, InPlaceMagnitudeMatchesAllocatingOverload) {
   for (std::size_t k = 0; k < allocated.size(); ++k) {
     EXPECT_DOUBLE_EQ(allocated[k], in_place[k]) << "bin " << k;
   }
+}
+
+// Bluestein spectra pinned bit for bit at the scalar SIMD level: a
+// forward and inverse complex transform of a length that is not a power of
+// two, and the power spectrum of an even command-like length (whose half
+// plan is itself Bluestein). Sharing tables or buffers between plans must
+// not move a bit.
+TEST(FftTest, BluesteinSpectrumBitsArePinned) {
+  const simd::Level prev = simd::active_level();
+  ASSERT_TRUE(simd::set_level(simd::Level::kScalar));
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](double x) {
+    const auto word = std::bit_cast<std::uint64_t>(x);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  Rng rng(20261016);
+  std::vector<Complex> x(1000);
+  for (auto& v : x) v = Complex(rng.gaussian(), rng.gaussian());
+  const FftPlan complex_plan(x.size());
+  complex_plan.transform(x, false);
+  for (const Complex& v : x) mix(v.real()), mix(v.imag());
+  complex_plan.transform(x, true);
+  for (const Complex& v : x) mix(v.real()), mix(v.imag());
+
+  std::vector<double> real(18998);
+  for (double& v : real) v = rng.gaussian();
+  std::vector<double> power(real.size() / 2 + 1);
+  get_plan(real.size()).power(real, power);
+  for (const double v : power) mix(v);
+  simd::set_level(prev);
+  EXPECT_EQ(h, 0x638d130cb054693cull) << "spectrum hash is 0x" << std::hex << h;
 }
 
 TEST(FftTest, ToneLandsInCorrectBin) {

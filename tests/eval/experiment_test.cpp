@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 
@@ -85,29 +87,37 @@ TEST(ExperimentTest, DeterministicGivenSeed) {
   }
 }
 
+// The contract that parallel rendering and scoring change nothing: every
+// population, at every thread count, equals the serial one bit for bit,
+// unscored tallies included.
 TEST(ExperimentTest, ScoresAreBitIdenticalAtEveryThreadCount) {
-  auto run_with = [](std::size_t threads) {
-    ExperimentConfig cfg = small_config();
-    cfg.threads = threads;
-    ExperimentRunner runner(cfg, 7);
-    return runner.run(attacks::AttackType::kReplay,
-                      {core::DefenseMode::kFull,
-                       core::DefenseMode::kAudioBaseline});
+  const auto bits = [](const std::vector<double>& scores) {
+    std::vector<std::uint64_t> out;
+    for (const double s : scores) {
+      out.push_back(std::bit_cast<std::uint64_t>(s));
+    }
+    return out;
   };
-  const auto serial = run_with(1);
-  for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    const auto parallel = run_with(threads);
-    for (const auto& [mode, expected] : serial) {
-      const auto& got = parallel.at(mode);
-      ASSERT_EQ(got.legit.size(), expected.legit.size());
-      ASSERT_EQ(got.attack.size(), expected.attack.size());
-      for (std::size_t i = 0; i < expected.legit.size(); ++i) {
-        EXPECT_DOUBLE_EQ(got.legit[i], expected.legit[i])
-            << "legit trial " << i << " with " << threads << " threads";
-      }
-      for (std::size_t i = 0; i < expected.attack.size(); ++i) {
-        EXPECT_DOUBLE_EQ(got.attack[i], expected.attack[i])
-            << "attack trial " << i << " with " << threads << " threads";
+  for (const attacks::AttackType attack : attacks::all_attack_types()) {
+    const auto run_with = [attack](std::size_t threads) {
+      ExperimentConfig cfg = small_config();
+      cfg.threads = threads;
+      ExperimentRunner runner(cfg, 7);
+      return runner.run(attack, {core::DefenseMode::kFull,
+                                 core::DefenseMode::kAudioBaseline});
+    };
+    const auto serial = run_with(1);
+    for (const std::size_t threads : {2u, 4u, 8u}) {
+      SCOPED_TRACE(testing::Message() << attacks::attack_name(attack)
+                                      << " at " << threads << " threads");
+      const auto parallel = run_with(threads);
+      ASSERT_EQ(parallel.size(), serial.size());
+      for (const auto& [mode, expected] : serial) {
+        const ScorePopulations& got = parallel.at(mode);
+        EXPECT_EQ(bits(got.legit), bits(expected.legit));
+        EXPECT_EQ(bits(got.attack), bits(expected.attack));
+        EXPECT_EQ(got.legit_unscored, expected.legit_unscored);
+        EXPECT_EQ(got.attack_unscored, expected.attack_unscored);
       }
     }
   }

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <ios>
+
 #include "common/db.hpp"
+#include "dsp/simd.hpp"
 #include "dsp/spectral.hpp"
 
 namespace vibguard::eval {
@@ -108,6 +113,88 @@ TEST(ScenarioTest, AttackSoundAtVaHonorsLevel) {
   const Signal at65 = sim.attack_sound_at_va(wake, 65.0);
   const Signal at85 = sim.attack_sound_at_va(wake, 85.0);
   EXPECT_GT(at85.rms(), at65.rms());
+}
+
+// FNV-1a over every bit a recording carries: both channels' samples, the
+// injected delay and the phoneme alignment.
+std::uint64_t recording_hash(const TrialRecordings& t) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const Signal* s : {&t.va, &t.wearable}) {
+    mix(s->size());
+    mix(std::bit_cast<std::uint64_t>(s->sample_rate()));
+    for (const double x : *s) mix(std::bit_cast<std::uint64_t>(x));
+  }
+  mix(std::bit_cast<std::uint64_t>(t.true_delay_s));
+  mix(t.alignment.size());
+  for (const speech::PhonemeSpan& span : t.alignment) {
+    for (const char c : span.symbol) mix(static_cast<unsigned char>(c));
+    mix(span.begin);
+    mix(span.end);
+  }
+  return h;
+}
+
+struct PinnedTrial {
+  const char* name;
+  bool is_attack;
+  attacks::AttackType type;  // ignored for legitimate trials
+  std::uint64_t hash;
+};
+
+// Renders `trials` in order from one simulator at the scalar SIMD level and
+// checks each recording's hash. Rendering them in sequence also pins where
+// every trial leaves the simulator's rng streams for the next one.
+void expect_pinned(const ScenarioConfig& config,
+                   std::initializer_list<PinnedTrial> trials) {
+  const dsp::simd::Level prev = dsp::simd::active_level();
+  ASSERT_TRUE(dsp::simd::set_level(dsp::simd::Level::kScalar));
+  ScenarioSimulator sim(config, 20261016);
+  Rng people(11);
+  const auto victim = speech::sample_speaker(speech::Sex::kFemale, people);
+  const auto adversary = speech::sample_speaker(speech::Sex::kMale, people);
+  const auto& command = speech::command_by_text("unlock the front door");
+  for (const PinnedTrial& p : trials) {
+    const TrialRecordings t =
+        p.is_attack ? sim.attack_trial(p.type, command, victim, adversary)
+                    : sim.legitimate_trial(command, victim);
+    const std::uint64_t h = recording_hash(t);
+    EXPECT_EQ(h, p.hash) << p.name << ": recording hash is 0x" << std::hex
+                         << h;
+  }
+  dsp::simd::set_level(prev);
+}
+
+// Recorded before render steps were split into draw and realize halves;
+// any change to what a trial records, or to the rng it leaves behind,
+// fails here by trial name.
+TEST(ScenarioTest, RecordingBitsArePinned) {
+  using attacks::AttackType;
+  expect_pinned(
+      ScenarioConfig{},
+      {{"legitimate", false, AttackType::kRandom, 0x3f63d983e7a6f2d9ull},
+       {"random", true, AttackType::kRandom, 0x064f11e21ccadc7dull},
+       {"replay", true, AttackType::kReplay, 0x9db6ec6592f72dedull},
+       {"synthesis", true, AttackType::kSynthesis, 0x52ad442817e48c6bull},
+       {"hidden_voice", true, AttackType::kHiddenVoice,
+        0x554be958ef039e41ull}});
+  const std::pair<acoustics::AmbientKind, std::uint64_t> kAmbient[] = {
+      {acoustics::AmbientKind::kQuiet, 0x3f63d983e7a6f2d9ull},
+      {acoustics::AmbientKind::kHvac, 0x5b21e18e736296a7ull},
+      {acoustics::AmbientKind::kMusic, 0x1df2a3b923e5a91dull},
+      {acoustics::AmbientKind::kBabble, 0x4694e9d7dafd8ef5ull},
+  };
+  for (const auto& [kind, hash] : kAmbient) {
+    ScenarioConfig config;
+    config.room.ambient_kind = kind;
+    const std::string name = "legitimate/" + acoustics::ambient_name(kind);
+    expect_pinned(config, {{name.c_str(), false, AttackType::kRandom, hash}});
+  }
 }
 
 }  // namespace

@@ -147,6 +147,15 @@ TEST(SynthesizerTest, RejectsBadConfig) {
   SynthesizerConfig cfg;
   cfg.max_harmonic_hz = 9000.0;  // above Nyquist for 16 kHz
   EXPECT_THROW(Synthesizer{cfg}, vibguard::InvalidArgument);
+  // A speaker without a positive F0 has no harmonic series.
+  Rng rng(13);
+  for (const double f0 : {0.0, -120.0}) {
+    SpeakerProfile mute = test_speaker();
+    mute.f0_hz = f0;
+    EXPECT_THROW(
+        Synthesizer{}.synthesize(phoneme_by_symbol("aa"), mute, rng),
+        vibguard::InvalidArgument);
+  }
 }
 
 TEST(SynthesizerTest, EdgesAreRamped) {
