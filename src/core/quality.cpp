@@ -42,21 +42,35 @@ std::string quality_issue_names(std::uint32_t issues) {
   return out.empty() ? "unknown" : out;
 }
 
-std::size_t min_gap_samples(const QualityConfig& cfg, double sample_rate) {
-  return std::max<std::size_t>(
-      1, static_cast<std::size_t>(cfg.min_gap_s * sample_rate));
-}
+ChannelQuality assess_channel(const Signal& signal, const QualityConfig& cfg) {
+  ChannelQuality q;
+  q.samples = signal.size();
+  q.duration_s = signal.duration();
+  if (signal.empty()) {
+    q.issues |= kIssueTooShort | kIssueLowSignal;
+    return q;
+  }
+  const double rate = signal.sample_rate();
+  const std::size_t min_gap = std::max<std::size_t>(
+      1, static_cast<std::size_t>(cfg.min_gap_s * rate));
+  const std::size_t n = signal.size();
 
-void StreamingCensus::update(std::span<const double> samples,
-                             std::size_t min_gap) {
-  // The loop body is the former assess_channel pass 1 verbatim, with its
-  // state lifted into the struct: every accumulation is strictly
-  // left-to-right, so any chunking of the input reproduces the whole-signal
-  // walk bit for bit.
-  for (const double x : samples) {
-    ++total;
+  // Pass 1, strictly left to right: moments over the finite samples, the
+  // zero-run (gap) census and the constant-run (stuck sensor) census.
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  double peak = 0.0;
+  std::size_t finite_count = 0;
+  std::size_t zero_run = 0;
+  std::size_t gap_samples = 0;
+  std::size_t longest_gap = 0;
+  std::size_t const_run = 1;
+  std::size_t longest_const = 0;
+  double prev = 0.0;
+  bool have_prev = false;
+  for (const double x : signal.samples()) {
     if (!std::isfinite(x)) {
-      ++non_finite;
+      ++q.non_finite;
       // A non-finite sample terminates both runs.
       if (zero_run >= min_gap) {
         gap_samples += zero_run;
@@ -93,31 +107,12 @@ void StreamingCensus::update(std::span<const double> samples,
     prev = x;
     have_prev = true;
   }
-}
-
-ChannelQuality StreamingCensus::finalize(const Signal& signal,
-                                         const QualityConfig& cfg) const {
-  ChannelQuality q;
-  q.samples = signal.size();
-  q.duration_s = signal.duration();
-  q.non_finite = non_finite;
-  if (signal.empty()) {
-    q.issues |= kIssueTooShort | kIssueLowSignal;
-    return q;
-  }
-  const double rate = signal.sample_rate();
-  const std::size_t min_gap = min_gap_samples(cfg, rate);
-  const std::size_t n = signal.size();
-
-  // Close the trailing zero/constant runs on locals so the census itself
-  // remains updatable (a provisional mid-stream report must not disturb the
-  // carried state).
-  std::size_t gaps = gap_samples, top_gap = longest_gap;
+  // Close the trailing runs.
   if (zero_run >= min_gap) {
-    gaps += zero_run;
-    top_gap = std::max(top_gap, zero_run);
+    gap_samples += zero_run;
+    longest_gap = std::max(longest_gap, zero_run);
   }
-  const std::size_t top_const =
+  longest_const =
       std::max(longest_const, have_prev ? const_run : std::size_t{0});
 
   if (finite_count > 0) {
@@ -126,16 +121,15 @@ ChannelQuality StreamingCensus::finalize(const Signal& signal,
     q.rms = std::sqrt(sum_sq * inv);
     q.peak = peak;
   }
-  q.gap_ratio = static_cast<double>(gaps) / static_cast<double>(n);
-  q.longest_gap_s = rate > 0.0 ? static_cast<double>(top_gap) / rate : 0.0;
-  q.stuck_ratio = static_cast<double>(top_const) / static_cast<double>(n);
+  q.gap_ratio = static_cast<double>(gap_samples) / static_cast<double>(n);
+  q.longest_gap_s = rate > 0.0 ? static_cast<double>(longest_gap) / rate : 0.0;
+  q.stuck_ratio = static_cast<double>(longest_const) / static_cast<double>(n);
 
   // Pass 2: clipping census needs the peak from pass 1.
   if (peak > 0.0) {
     const double clip_level = cfg.clip_level_fraction * peak;
     std::size_t clipped = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double x = signal[i];
+    for (const double x : signal.samples()) {
       if (std::isfinite(x) && std::abs(x) >= clip_level) ++clipped;
     }
     q.clip_ratio = static_cast<double>(clipped) / static_cast<double>(n);
@@ -151,15 +145,6 @@ ChannelQuality StreamingCensus::finalize(const Signal& signal,
   }
   if (q.stuck_ratio > cfg.max_stuck_ratio) q.issues |= kIssueStuck;
   return q;
-}
-
-ChannelQuality assess_channel(const Signal& signal, const QualityConfig& cfg) {
-  StreamingCensus census;
-  if (!signal.empty()) {
-    census.update(signal.samples(),
-                  min_gap_samples(cfg, signal.sample_rate()));
-  }
-  return census.finalize(signal, cfg);
 }
 
 std::uint32_t fatal_issue_mask(QualityConfig::Gate gate) {

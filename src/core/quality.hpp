@@ -15,7 +15,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "common/signal.hpp"
@@ -108,55 +107,6 @@ struct QualityReport {
   /// One-line human-readable summary.
   std::string summary() const;
 };
-
-/// Carried state of the per-channel quality census, for push pipelines.
-///
-/// The batch assess_channel walks a signal once, strictly left to right;
-/// StreamingCensus is that same walk with its loop state lifted out, so
-/// feeding a signal in chunks of any size — down to single samples —
-/// accumulates bit-identical state to one whole-signal pass (assess_channel
-/// itself is implemented on top of it). The peak-relative clipping census
-/// needs the final peak and therefore lives in finalize(), which re-reads
-/// the buffered signal the streaming caller already holds.
-struct StreamingCensus {
-  // Moments over the finite samples.
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  double peak = 0.0;
-  std::size_t finite_count = 0;
-  std::size_t non_finite = 0;
-  std::size_t total = 0;
-
-  // Zero-run (gap) census.
-  std::size_t zero_run = 0;
-  std::size_t gap_samples = 0;
-  std::size_t longest_gap = 0;
-
-  // Constant-run (stuck sensor) census.
-  std::size_t const_run = 1;
-  std::size_t longest_const = 0;
-  double prev = 0.0;
-  bool have_prev = false;
-
-  void reset() { *this = StreamingCensus{}; }
-
-  /// Folds `samples` into the census. `min_gap_samples` is the zero-run
-  /// length that counts as a gap (from QualityConfig::min_gap_s at the
-  /// channel's sample rate); it must stay constant across a stream.
-  void update(std::span<const double> samples, std::size_t min_gap_samples);
-
-  /// Closes the trailing runs and applies the thresholds, producing the
-  /// same ChannelQuality a batch assess_channel of the whole signal would.
-  /// `signal` must be the concatenation of everything update() saw (the
-  /// clipping census needs a second pass against the final peak); const —
-  /// the census itself stays usable for further update() calls.
-  ChannelQuality finalize(const Signal& signal,
-                          const QualityConfig& cfg) const;
-};
-
-/// The zero-run length counting as a gap at `sample_rate` (shared by the
-/// batch and streaming census paths).
-std::size_t min_gap_samples(const QualityConfig& cfg, double sample_rate);
 
 /// Measures one channel against `cfg`, raising per-channel issue flags.
 /// Pure: no allocation, no mutation of `signal`, no randomness.

@@ -49,30 +49,4 @@ void VibrationFeatureExtractor::extract_into(const Signal& vibration,
   if (config_.normalize) out.normalize_by_max();
 }
 
-StreamingVibrationFeatures::StreamingVibrationFeatures(
-    VibrationFeatureConfig config)
-    : config_(config) {
-  VIBGUARD_REQUIRE(config_.window_size > 0 && config_.hop > 0,
-                   "window and hop must be positive");
-}
-
-void StreamingVibrationFeatures::begin(double sample_rate) {
-  stft_.reset(config_.window_size, config_.hop, config_.window);
-  // Same crop rule as Spectrogram::crop_low_frequencies_in_place: drop
-  // every bin whose center frequency (bin0 at 0 Hz) is <= the cutoff.
-  drop_bins_ = 0;
-  if (config_.crop_below_hz > 0.0 && sample_rate > 0.0) {
-    const double bin_hz = sample_rate / static_cast<double>(config_.window_size);
-    const std::size_t bins = config_.window_size / 2 + 1;
-    while (drop_bins_ < bins &&
-           static_cast<double>(drop_bins_) * bin_hz <= config_.crop_below_hz) {
-      ++drop_bins_;
-    }
-  }
-}
-
-std::size_t StreamingVibrationFeatures::push(std::span<const double> samples) {
-  return stft_.push(samples);
-}
-
 }  // namespace vibguard::core

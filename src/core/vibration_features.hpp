@@ -42,47 +42,4 @@ class VibrationFeatureExtractor {
   VibrationFeatureConfig config_;
 };
 
-/// Online vibration-feature accumulator for push pipelines.
-///
-/// Wraps a StreamingStft and applies the accelerometer-artifact crop on the
-/// fly: row(i) views the surviving bins of emitted frame i directly inside
-/// the STFT row store (the crop is a constant column offset, so no copy is
-/// needed). Two of the batch extractor's steps are deliberately *not*
-/// reproduced, because both are whole-signal operations:
-///   - the zero-phase FFT high-pass — its job (body-motion energy below
-///     ~4 Hz) is largely subsumed by the crop, which removes every bin at or
-///     below crop_below_hz anyway;
-///   - normalize_by_max — the downstream 2-D Pearson is scale-invariant, so
-///     normalization cannot change the correlation.
-/// Streaming features are therefore an *approximation* used for provisional
-/// anytime verdicts; exact scores come from the batch finalize pass.
-class StreamingVibrationFeatures {
- public:
-  explicit StreamingVibrationFeatures(VibrationFeatureConfig config = {});
-
-  const VibrationFeatureConfig& config() const { return config_; }
-
-  /// Resets the carried state for a new stream at `sample_rate` Hz.
-  void begin(double sample_rate);
-
-  /// Appends vibration samples; returns the number of feature frames
-  /// emitted by this push.
-  std::size_t push(std::span<const double> samples);
-
-  std::size_t frames() const { return stft_.frames(); }
-
-  /// Frequency bins surviving the crop.
-  std::size_t bins() const { return stft_.bins() - drop_bins_; }
-
-  /// One emitted frame's `bins()` contiguous cropped power values.
-  const double* row(std::size_t frame) const {
-    return stft_.row(frame) + drop_bins_;
-  }
-
- private:
-  VibrationFeatureConfig config_;
-  dsp::StreamingStft stft_;
-  std::size_t drop_bins_ = 0;
-};
-
 }  // namespace vibguard::core

@@ -190,75 +190,4 @@ Correlation2dResult correlation_2d_ex(const Spectrogram& a,
   return {r, false};
 }
 
-void StreamingStft::reset(std::size_t window_size, std::size_t hop,
-                          WindowType window) {
-  VIBGUARD_REQUIRE(window_size > 0, "window size must be positive");
-  VIBGUARD_REQUIRE(hop > 0, "hop must be positive");
-  window_ = window_size;
-  hop_ = hop;
-  bins_ = window_size / 2 + 1;
-  frames_ = 0;
-  type_ = window;
-  pending_.clear();
-  rows_.clear();
-}
-
-std::size_t StreamingStft::push(std::span<const double> samples) {
-  VIBGUARD_REQUIRE(window_ > 0, "StreamingStft::reset must run first");
-  pending_.insert(pending_.end(), samples.begin(), samples.end());
-  if (pending_.size() < window_) return 0;
-
-  const auto& win = cached_window(type_, window_);
-  const FftPlan& plan = get_plan(window_);
-  // Emit every completed frame, walking the pending buffer by hop. The
-  // consumed prefix is erased once at the end so a push emitting many
-  // frames moves the carried overlap only once.
-  std::size_t offset = 0;
-  std::size_t emitted = 0;
-  while (offset + window_ <= pending_.size()) {
-    rows_.resize((frames_ + 1) * bins_);
-    plan.windowed_power(pending_.data() + offset, win.data(),
-                        std::span<double>(rows_.data() + frames_ * bins_,
-                                          bins_));
-    ++frames_;
-    ++emitted;
-    offset += hop_;
-  }
-  if (offset > 0) {
-    pending_.erase(pending_.begin(),
-                   pending_.begin() + static_cast<std::ptrdiff_t>(offset));
-  }
-  return emitted;
-}
-
-void StreamingPearson::add(const double* a, const double* b, std::size_t n) {
-  if (n == 0) return;
-  const simd::PearsonMoments m = simd::pearson_moments(a, b, n);
-  sa_ += m.sa;
-  sb_ += m.sb;
-  saa_ += m.saa;
-  sbb_ += m.sbb;
-  sab_ += m.sab;
-  count_ += n;
-}
-
-Correlation2dResult StreamingPearson::value() const {
-  if (count_ == 0) return {0.0, true};
-  const double inv_n = 1.0 / static_cast<double>(count_);
-  const double cov = sab_ - sa_ * sb_ * inv_n;
-  const double var_a = saa_ - sa_ * sa_ * inv_n;
-  const double var_b = sbb_ - sb_ * sb_ * inv_n;
-  // Same relative-variance degeneracy guard as correlation_2d_ex: chunked
-  // accumulation orders leave rounding residue where the batch order
-  // cancels, so near-constant input must read degenerate at any chunking.
-  constexpr double kVarEps = 1e-12;
-  if (!(var_a > kVarEps * saa_) || !(var_b > kVarEps * sbb_) ||
-      !std::isfinite(cov)) {
-    return {0.0, true};
-  }
-  const double r = cov / std::sqrt(var_a * var_b);
-  if (!std::isfinite(r)) return {0.0, true};
-  return {r, false};
-}
-
 }  // namespace vibguard::dsp

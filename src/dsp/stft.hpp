@@ -113,77 +113,4 @@ struct Correlation2dResult {
 Correlation2dResult correlation_2d_ex(const Spectrogram& a,
                                       const Spectrogram& b);
 
-/// Frame-at-a-time STFT with carried overlap state, for push pipelines.
-///
-/// Samples arrive in arbitrarily sized chunks (down to single samples);
-/// every time enough samples accumulate for a full window, the frame's
-/// power spectrum is computed through the same fused plan kernel the batch
-/// stft_power_into uses and appended to the internal row store. Because
-/// each emitted frame is the kernel applied to exactly the samples batch
-/// processing would hand it, the emitted rows are bit-identical to the
-/// batch spectrogram's rows for any chunking of the input (the one batch
-/// behavior not reproduced is the zero-pad of inputs shorter than one
-/// window — a stream that short has simply not produced a frame yet).
-class StreamingStft {
- public:
-  StreamingStft() = default;
-
-  /// Resets the carried state for a new stream (capacity retained).
-  void reset(std::size_t window_size, std::size_t hop,
-             WindowType window = WindowType::kHann);
-
-  /// Appends samples to the stream; returns the number of frames emitted by
-  /// this push.
-  std::size_t push(std::span<const double> samples);
-
-  std::size_t window_size() const { return window_; }
-  std::size_t hop() const { return hop_; }
-  std::size_t frames() const { return frames_; }
-  std::size_t bins() const { return bins_; }
-
-  /// One emitted frame's `bins()` contiguous power values.
-  const double* row(std::size_t frame) const {
-    return rows_.data() + frame * bins_;
-  }
-
-  /// All emitted frames, row-major.
-  std::span<const double> values() const {
-    return {rows_.data(), frames_ * bins_};
-  }
-
- private:
-  std::size_t window_ = 0;
-  std::size_t hop_ = 0;
-  std::size_t bins_ = 0;
-  std::size_t frames_ = 0;
-  WindowType type_ = WindowType::kHann;
-  std::vector<double> pending_;  ///< carried samples not yet consumed
-  std::vector<double> rows_;     ///< emitted power frames, row-major
-};
-
-/// Incremental 2-D Pearson: the five sufficient statistics of Eq. 6
-/// (Σa, Σb, Σa², Σb², Σab) updated per pushed span, so a streaming pipeline
-/// can score a growing spectrogram pair in O(new cells) per push. Chunks
-/// accumulate through the dispatched SIMD moment kernel; the running value
-/// applies the same degeneracy rules as correlation_2d_ex. Pearson is
-/// scale-invariant, so callers may feed unnormalized power cells.
-class StreamingPearson {
- public:
-  void reset() { *this = StreamingPearson{}; }
-
-  /// Folds `n` paired cells into the running moments.
-  void add(const double* a, const double* b, std::size_t n);
-
-  /// Cells accumulated so far.
-  std::size_t count() const { return count_; }
-
-  /// Correlation over everything accumulated so far (degenerate while empty
-  /// or constant, exactly as correlation_2d_ex).
-  Correlation2dResult value() const;
-
- private:
-  double sa_ = 0.0, sb_ = 0.0, saa_ = 0.0, sbb_ = 0.0, sab_ = 0.0;
-  std::size_t count_ = 0;
-};
-
 }  // namespace vibguard::dsp

@@ -75,6 +75,10 @@ StreamSweepResult run_stream_sweep(const StreamSweepConfig& config,
   VIBGUARD_REQUIRE(config.calib_trials >= 2 && config.eval_trials >= 2,
                    "need at least two trials per class in each pass");
   VIBGUARD_REQUIRE(config.frame_samples > 0, "frame size must be positive");
+  VIBGUARD_REQUIRE(config.defense.mode == core::DefenseMode::kFull,
+                   "anytime verdicts need kFull mode");
+  VIBGUARD_REQUIRE(config.num_speakers >= 2,
+                   "need at least two speakers (victim + adversary)");
 
   core::DefenseConfig defense = config.defense;
   defense.wearable = config.scenario.wearable;

@@ -7,9 +7,9 @@
 //   1. Calibration — stream a held-out trial population to completion with
 //      the stopping rule disabled, recording each trial's final provisional
 //      (segment) score, its coarse (whole-prefix) score AND its exact batch
-//      score, then fit one ScoreCalibration per scale (the provisional
-//      paths use their own feature grid and skip the global high-pass/
-//      normalization, so each lives on its own scale).
+//      score, then fit one ScoreCalibration per scale (the checkpoints use
+//      their own feature grid and see only prefixes, so each score lives on
+//      its own scale).
 //   2. Batch reference — score the evaluation trials through the exact
 //      batch pipeline (bit-identical to what a run-to-completion
 //      kExactBatch stream would report) for the no-exit EER row and the
@@ -43,7 +43,9 @@ struct StreamSweepConfig {
   std::size_t calib_trials = 24;
   std::size_t eval_trials = 40;
 
-  core::DefenseConfig defense;  ///< wearable/sync overridden from scenario
+  /// Must be kFull (baseline modes have no anytime evidence); wearable and
+  /// sync are overridden from the scenario.
+  core::DefenseConfig defense;
   core::StreamingConfig streaming;
 
   /// Exit-confidence thresholds swept (applied to both rule sides).

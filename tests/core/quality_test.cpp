@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ios>
 #include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "dsp/generate.hpp"
+#include "dsp/simd.hpp"
 
 namespace vibguard::core {
 namespace {
@@ -197,6 +199,49 @@ TEST(QualityTest, ReportClearAndSummary) {
   EXPECT_EQ(report.fatal, 0u);
   EXPECT_STREQ(report.reason, "ok");
   EXPECT_NE(report.summary().find("scoreable"), std::string::npos);
+}
+
+// Every ChannelQuality field pinned for one signal carrying each defect the
+// census walks over: a long zero gap, a stuck (constant, nonzero) run, a NaN
+// and an inf. Recorded at the scalar SIMD level as exact hex-float
+// literals; a reordered accumulation or a slip in the gap or stuck-run
+// bookkeeping fails here by field name.
+TEST(QualityTest, DefectCensusIsPinned) {
+  const dsp::simd::Level prev = dsp::simd::active_level();
+  ASSERT_TRUE(dsp::simd::set_level(dsp::simd::Level::kScalar));
+  Rng rng(21);
+  std::vector<double> samples(24000);
+  for (double& s : samples) s = rng.gaussian() * 0.1;
+  for (std::size_t i = 5000; i < 6200; ++i) samples[i] = 0.0;
+  for (std::size_t i = 9000; i < 9800; ++i) samples[i] = 0.25;
+  samples[15000] = std::numeric_limits<double>::quiet_NaN();
+  samples[15001] = std::numeric_limits<double>::infinity();
+  const ChannelQuality q =
+      assess_channel(Signal(samples, 16000.0), QualityConfig{});
+  dsp::simd::set_level(prev);
+
+  const struct {
+    const char* field;
+    double value;
+    double pinned;
+  } kPinned[] = {
+      {"duration_s", q.duration_s, 0x1.8p+0},
+      {"rms", q.rms, 0x1.b0eef70596124p-4},
+      {"peak", q.peak, 0x1.9aeb664652ed7p-2},
+      {"dc_offset", q.dc_offset, 0x1.0211340591d5p-7},
+      {"clip_ratio", q.clip_ratio, 0x1.5d867c3ece2a5p-15},
+      {"gap_ratio", q.gap_ratio, 0x1.999999999999ap-5},
+      {"longest_gap_s", q.longest_gap_s, 0x1.3333333333333p-4},
+      {"stuck_ratio", q.stuck_ratio, 0x1.1111111111111p-5},
+  };
+  for (const auto& p : kPinned) {
+    EXPECT_EQ(p.value, p.pinned)
+        << p.field << " is " << std::hexfloat << p.value;
+  }
+  EXPECT_EQ(q.samples, 24000u);
+  EXPECT_EQ(q.non_finite, 2u);
+  EXPECT_EQ(q.issues, kIssueNonFinite)
+      << "issues are " << quality_issue_names(q.issues);
 }
 
 }  // namespace

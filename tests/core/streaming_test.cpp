@@ -2,20 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <ios>
 #include <limits>
 #include <span>
 #include <vector>
 
 #include "attacks/attack.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
 #include "core/quality.hpp"
 #include "core/segmentation.hpp"
 #include "core/trace.hpp"
-#include "dsp/generate.hpp"
-#include "dsp/stft.hpp"
+#include "dsp/simd.hpp"
 #include "eval/experiment.hpp"
 #include "eval/scenario.hpp"
 
@@ -32,6 +35,13 @@ eval::TrialRecordings make_trial(std::uint64_t seed, bool attack) {
   return sim.attack_trial(attacks::AttackType::kReplay, cmd, user, adv);
 }
 
+/// The up-to-`n` samples of `s` from `offset` on (empty past the end).
+std::span<const double> frame_at(const Signal& s, std::size_t offset,
+                                 std::size_t n) {
+  const std::size_t begin = std::min(offset, s.size());
+  return s.samples().subspan(begin, std::min(n, s.size() - begin));
+}
+
 /// Streams `trial` through `pipeline` with va frames of `va_frame` samples
 /// and wearable frames of `wear_frame` samples (0 = push the whole channel
 /// in one call), then finalizes.
@@ -43,10 +53,7 @@ StreamOutcome stream_with_schedule(StreamingPipeline& pipeline,
   pipeline.begin(trial.va.sample_rate(), segmenter, rng);
   const auto frame_of = [](const Signal& s, std::size_t offset,
                            std::size_t frame) {
-    const std::size_t begin = std::min(offset, s.size());
-    const std::size_t end =
-        frame == 0 ? s.size() : std::min(offset + frame, s.size());
-    return s.samples().subspan(begin, end > begin ? end - begin : 0);
+    return frame_at(s, offset, frame == 0 ? s.size() : frame);
   };
   std::size_t va_off = 0;
   std::size_t wear_off = 0;
@@ -60,6 +67,16 @@ StreamOutcome stream_with_schedule(StreamingPipeline& pipeline,
   }
   return pipeline.finalize();
 }
+
+/// Constant-posterior model: drives the rule deterministically.
+class FixedConfidence final : public ConfidenceModel {
+ public:
+  explicit FixedConfidence(double p) : p_(p) {}
+  double posterior_attack(double) const override { return p_; }
+
+ private:
+  double p_;
+};
 
 class StreamingBitIdentityTest : public ::testing::TestWithParam<bool> {};
 
@@ -123,6 +140,32 @@ TEST(StreamingPipelineTest, BaselineModesMatchBatchToo) {
   }
 }
 
+TEST(StreamingPipelineTest, BaselineModesRejectAnytimeConfig) {
+  // Baseline modes have no anytime evidence, so an armed rule could never
+  // fire and a kProvisional finalize would have no score to report.
+  const FixedConfidence model(0.5);
+  StreamingConfig armed;
+  armed.stop.enabled = true;
+  armed.stop.confidence = &model;
+  StreamingConfig provisional;
+  provisional.finalize = StreamingConfig::Finalize::kProvisional;
+  for (const DefenseMode mode :
+       {DefenseMode::kVibrationBaseline, DefenseMode::kAudioBaseline}) {
+    DefenseConfig cfg;
+    cfg.mode = mode;
+    DefenseSystem system(cfg);
+    for (const StreamingConfig& bad : {armed, provisional}) {
+      StreamingPipeline pipeline(system, bad);
+      EXPECT_THROW(pipeline.begin(16000.0, nullptr, Rng(9)), InvalidArgument)
+          << mode_name(mode);
+    }
+    // The default config (rule off, exact finalize) streams as before.
+    StreamingPipeline pipeline(system);
+    EXPECT_NO_THROW(pipeline.begin(16000.0, nullptr, Rng(9)))
+        << mode_name(mode);
+  }
+}
+
 TEST(StreamingPipelineTest, ReusedPipelineStreamsBitIdentical) {
   const auto trial = make_trial(103, true);
   OracleSegmenter seg(trial.alignment, eval::reference_sensitive_set());
@@ -151,124 +194,63 @@ TEST(StreamingPipelineTest, ProvisionalScoresInvariantToPushSchedule) {
       stream_with_schedule(pipeline, trial, &seg, Rng(13), 0, 0);
   const StreamOutcome ragged =
       stream_with_schedule(pipeline, trial, &seg, Rng(13), 811, 1283);
-  // The provisional path consumes a fixed absolute block grid, so the
-  // checkpoint scores never depend on how the samples arrived.
+  // Checkpoints run on a fixed absolute block grid, so their scores never
+  // depend on how the samples arrived.
   EXPECT_EQ(whole.provisional_score, ragged.provisional_score);
   EXPECT_EQ(whole.coarse_score, ragged.coarse_score);
   EXPECT_EQ(whole.blocks, ragged.blocks);
 }
 
-// --- streaming component vs batch counterpart -----------------------------
-
-TEST(StreamingCensusTest, MatchesBatchAssessChannel) {
-  Rng rng(21);
-  std::vector<double> samples(24000);
-  for (double& s : samples) s = rng.gaussian() * 0.1;
-  // Defects the census must fold identically: a long zero gap, a stuck
-  // (constant, nonzero) run and a couple of non-finite samples.
-  for (std::size_t i = 5000; i < 6200; ++i) samples[i] = 0.0;
-  for (std::size_t i = 9000; i < 9800; ++i) samples[i] = 0.25;
-  samples[15000] = std::numeric_limits<double>::quiet_NaN();
-  samples[15001] = std::numeric_limits<double>::infinity();
-  const Signal signal(samples, 16000.0);
-
-  const QualityConfig cfg;
-  const ChannelQuality batch = assess_channel(signal, cfg);
-  const std::size_t gap = min_gap_samples(cfg, signal.sample_rate());
-
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
-                                  std::size_t{640}, samples.size()}) {
-    StreamingCensus census;
-    for (std::size_t off = 0; off < samples.size(); off += chunk) {
-      const std::size_t n = std::min(chunk, samples.size() - off);
-      census.update(std::span<const double>(samples).subspan(off, n), gap);
-    }
-    const ChannelQuality streamed = census.finalize(signal, cfg);
-    EXPECT_EQ(streamed.samples, batch.samples) << "chunk=" << chunk;
-    EXPECT_EQ(streamed.rms, batch.rms) << "chunk=" << chunk;
-    EXPECT_EQ(streamed.peak, batch.peak) << "chunk=" << chunk;
-    EXPECT_EQ(streamed.dc_offset, batch.dc_offset) << "chunk=" << chunk;
-    EXPECT_EQ(streamed.clip_ratio, batch.clip_ratio) << "chunk=" << chunk;
-    EXPECT_EQ(streamed.gap_ratio, batch.gap_ratio) << "chunk=" << chunk;
-    EXPECT_EQ(streamed.longest_gap_s, batch.longest_gap_s)
-        << "chunk=" << chunk;
-    EXPECT_EQ(streamed.stuck_ratio, batch.stuck_ratio) << "chunk=" << chunk;
-    EXPECT_EQ(streamed.non_finite, batch.non_finite) << "chunk=" << chunk;
-    EXPECT_EQ(streamed.issues, batch.issues) << "chunk=" << chunk;
+// Checkpoint pins: a legitimate and a replay trial streamed in 1024-sample
+// pushes with the rule off and a kProvisional finalize, at the scalar SIMD
+// level. Both evidence channels' score bits, the block count and both frame
+// counts were recorded while each checkpoint still ran its own hand-copied
+// capture, feature and correlate calls; a change to what a checkpoint
+// captures, extracts or correlates fails here by trial name.
+TEST(StreamingPipelineTest, CheckpointBitsArePinned) {
+  const struct {
+    const char* name;
+    std::uint64_t seed;
+    bool attack;
+    std::uint64_t provisional_bits;
+    std::uint64_t coarse_bits;
+    std::size_t blocks;
+    std::size_t paired_frames;
+    std::size_t coarse_frames;
+  } kPinned[] = {
+      {"legitimate", 104, false, 0x3fde3b9eaae06802ull, 0x3fe6fde6a355231aull,
+       7, 25, 41},
+      {"replay", 105, true, 0x3f966c942d94df2eull, 0x3fe520da2b5c9ca3ull, 8,
+       31, 48},
+  };
+  const dsp::simd::Level prev = dsp::simd::active_level();
+  ASSERT_TRUE(dsp::simd::set_level(dsp::simd::Level::kScalar));
+  DefenseSystem system((DefenseConfig()));
+  StreamingConfig cfg;
+  cfg.finalize = StreamingConfig::Finalize::kProvisional;
+  StreamingPipeline pipeline(system, cfg);
+  for (const auto& p : kPinned) {
+    const auto trial = make_trial(p.seed, p.attack);
+    OracleSegmenter seg(trial.alignment, eval::reference_sensitive_set());
+    const StreamOutcome out =
+        stream_with_schedule(pipeline, trial, &seg, Rng(61), 1024, 1024);
+    const StreamStatus st = pipeline.status();
+    const auto provisional = std::bit_cast<std::uint64_t>(out.provisional_score);
+    const auto coarse = std::bit_cast<std::uint64_t>(out.coarse_score);
+    EXPECT_EQ(provisional, p.provisional_bits)
+        << p.name << ": provisional " << out.provisional_score << " has bits 0x"
+        << std::hex << provisional;
+    EXPECT_EQ(coarse, p.coarse_bits)
+        << p.name << ": coarse " << out.coarse_score << " has bits 0x"
+        << std::hex << coarse;
+    EXPECT_EQ(st.blocks, p.blocks) << p.name;
+    EXPECT_EQ(st.paired_frames, p.paired_frames) << p.name;
+    EXPECT_EQ(st.coarse_frames, p.coarse_frames) << p.name;
   }
-}
-
-TEST(StreamingStftTest, MatchesBatchPowerSpectrogram) {
-  Rng rng(22);
-  std::vector<double> samples(4096 + 113);
-  for (double& s : samples) s = rng.gaussian();
-  const Signal signal(samples, 16000.0);
-
-  dsp::Spectrogram batch;
-  dsp::stft_power_into(signal, 64, 16, batch);
-
-  for (const std::size_t chunk :
-       {std::size_t{1}, std::size_t{50}, std::size_t{1000}}) {
-    dsp::StreamingStft stft;
-    stft.reset(64, 16);
-    for (std::size_t off = 0; off < samples.size(); off += chunk) {
-      const std::size_t n = std::min(chunk, samples.size() - off);
-      stft.push(std::span<const double>(samples).subspan(off, n));
-    }
-    ASSERT_EQ(stft.frames(), batch.frames()) << "chunk=" << chunk;
-    ASSERT_EQ(stft.bins(), batch.bins()) << "chunk=" << chunk;
-    for (std::size_t f = 0; f < batch.frames(); ++f) {
-      for (std::size_t b = 0; b < batch.bins(); ++b) {
-        // Each frame is windowed and transformed exactly once, in the same
-        // order as the batch transform — bitwise identical.
-        ASSERT_EQ(stft.row(f)[b], batch.at(f, b))
-            << "chunk=" << chunk << " frame=" << f << " bin=" << b;
-      }
-    }
-  }
-}
-
-TEST(StreamingPearsonTest, MatchesCorrelation2d) {
-  Rng rng(23);
-  const std::size_t frames = 40;
-  const std::size_t bins = 33;
-  dsp::Spectrogram a(frames, bins, 1.0, 1.0);
-  dsp::Spectrogram b(frames, bins, 1.0, 1.0);
-  for (std::size_t f = 0; f < frames; ++f) {
-    for (std::size_t k = 0; k < bins; ++k) {
-      a.at(f, k) = rng.gaussian();
-      b.at(f, k) = 0.6 * a.at(f, k) + 0.4 * rng.gaussian();
-    }
-  }
-  const dsp::Correlation2dResult batch = dsp::correlation_2d_ex(a, b);
-  ASSERT_FALSE(batch.degenerate);
-
-  dsp::StreamingPearson pearson;
-  for (std::size_t f = 0; f < frames; ++f) {
-    pearson.add(&a.values()[f * bins], &b.values()[f * bins], bins);
-  }
-  const dsp::Correlation2dResult streamed = pearson.value();
-  ASSERT_FALSE(streamed.degenerate);
-  EXPECT_EQ(pearson.count(), frames * bins);
-  // Chunked accumulation reorders the moment sums, so equality is to
-  // rounding, not bitwise.
-  EXPECT_NEAR(streamed.value, batch.value, 1e-9);
-
-  dsp::StreamingPearson empty;
-  EXPECT_TRUE(empty.value().degenerate);
+  dsp::simd::set_level(prev);
 }
 
 // --- stopping rule --------------------------------------------------------
-
-/// Constant-posterior model: drives the rule deterministically.
-class FixedConfidence final : public ConfidenceModel {
- public:
-  explicit FixedConfidence(double p) : p_(p) {}
-  double posterior_attack(double) const override { return p_; }
-
- private:
-  double p_;
-};
 
 StreamingConfig rule_config(const ConfidenceModel* model) {
   StreamingConfig cfg;
@@ -290,11 +272,8 @@ TEST(StoppingRuleTest, ConfidentAttackEvidenceExitsEarly) {
   StreamStatus st;
   std::size_t pushed = 0;
   for (; pushed < trial.va.size(); pushed += 1024) {
-    const std::size_t n = std::min<std::size_t>(1024, trial.va.size() - pushed);
-    st = pipeline.push(trial.va.samples().subspan(pushed, n),
-                       trial.wearable.samples().subspan(
-                           pushed, std::min<std::size_t>(
-                                       n, trial.wearable.size() - pushed)));
+    st = pipeline.push(frame_at(trial.va, pushed, 1024),
+                       frame_at(trial.wearable, pushed, 1024));
     if (st.verdict != StreamVerdict::kPending) break;
   }
   EXPECT_EQ(st.verdict, StreamVerdict::kAttackEarly);
@@ -339,18 +318,50 @@ TEST(StoppingRuleTest, DisabledRuleNeverExits) {
 }
 
 TEST(StoppingRuleTest, MinStreamGateBlocksInstantVerdicts) {
-  const auto trial = make_trial(108, true);
-  OracleSegmenter seg(trial.alignment, eval::reference_sensitive_set());
+  // With both thresholds at 0.5, a constant model puts every evaluated
+  // boundary on its side, so only the evidence gate (0.25 s of the VA
+  // timeline and 8 frames) holds an exit back. Block 1 carries 3 coarse
+  // frames and is gated; block 2 is the first boundary past both gates.
   DefenseSystem system((DefenseConfig()));
   const FixedConfidence always_attack(1.0);
-  StreamingConfig cfg = rule_config(&always_attack);
-  cfg.stop.min_stream_s = 10.0;  // longer than any trial
-  StreamingPipeline pipeline(system, cfg);
-
-  const StreamOutcome out =
-      stream_with_schedule(pipeline, trial, &seg, Rng(37), 1024, 1024);
-  EXPECT_EQ(out.verdict, StreamVerdict::kCompleted);
-  EXPECT_FALSE(out.early_exit);
+  const FixedConfidence never_attack(0.0);
+  const ConfidenceModel* const models[] = {&always_attack, &never_attack};
+  std::size_t gated_block_one = 0;
+  for (std::uint64_t seed = 105; seed <= 112; ++seed) {
+    for (const bool attack : {false, true}) {
+      const auto trial = make_trial(seed, attack);
+      OracleSegmenter seg(trial.alignment, eval::reference_sensitive_set());
+      for (const ConfidenceModel* model : models) {
+        const bool attack_side = model == &always_attack;
+        StreamingConfig cfg = rule_config(model);
+        cfg.stop.attack_confidence = 0.5;
+        cfg.stop.accept_confidence = 0.5;
+        StreamingPipeline pipeline(system, cfg);
+        pipeline.begin(trial.va.sample_rate(), &seg, Rng(37));
+        StreamStatus st;
+        for (std::size_t off = 0;
+             off < trial.va.size() && st.verdict == StreamVerdict::kPending;
+             off += 1024) {
+          st = pipeline.push(frame_at(trial.va, off, 1024),
+                             frame_at(trial.wearable, off, 1024));
+          if (st.blocks == 1) {
+            ++gated_block_one;
+            EXPECT_EQ(st.verdict, StreamVerdict::kPending) << seed;
+            EXPECT_EQ(st.coarse_frames, 3u) << seed;
+            EXPECT_EQ(st.posterior_attack > 0.5, attack_side) << seed;
+          }
+        }
+        EXPECT_EQ(st.verdict, attack_side ? StreamVerdict::kAttackEarly
+                                          : StreamVerdict::kAcceptEarly)
+            << seed;
+        EXPECT_EQ(st.blocks, 2u) << seed;
+        EXPECT_GE(st.coarse_frames, 8u) << seed;
+      }
+    }
+  }
+  // Most of these streams release block 1 in a push of its own (the rest
+  // release blocks 1 and 2 together when the sync warm-up completes).
+  EXPECT_GT(gated_block_one, 0u);
 }
 
 TEST(StreamingPipelineTest, FailsClosedOnNonFiniteSamples) {
@@ -421,26 +432,19 @@ TEST(StreamingPipelineTest, ZeroLengthPushIsNoOp) {
   ASSERT_TRUE(expected.outcome.ok());
 
   // Same schedule with empty pushes interleaved everywhere: the empties
-  // must not advance any carried census/STFT/pairing state, and must not
-  // clobber the evaluated_this_push report of the preceding real push.
+  // must not advance any buffered, block or checkpoint state.
   StreamingPipeline pipeline(system);
   pipeline.begin(trial.va.sample_rate(), &seg, Rng(53));
   pipeline.push({}, {});  // before any data
   std::size_t off = 0;
   while (off < trial.va.size() || off < trial.wearable.size()) {
-    const auto chunk = [&](const Signal& s) {
-      const std::size_t begin = std::min(off, s.size());
-      const std::size_t end = std::min(off + 2048, s.size());
-      return s.samples().subspan(begin, end - begin);
-    };
-    const StreamStatus after_real = pipeline.push(chunk(trial.va),
-                                                  chunk(trial.wearable));
+    const StreamStatus after_real = pipeline.push(
+        frame_at(trial.va, off, 2048), frame_at(trial.wearable, off, 2048));
     const StreamStatus after_empty = pipeline.push({}, {});
     EXPECT_EQ(after_empty.blocks, after_real.blocks);
     EXPECT_EQ(after_empty.paired_frames, after_real.paired_frames);
     EXPECT_EQ(after_empty.coarse_frames, after_real.coarse_frames);
     EXPECT_EQ(after_empty.provisional_score, after_real.provisional_score);
-    EXPECT_EQ(after_empty.evaluated_this_push, after_real.evaluated_this_push);
     off += 2048;
   }
   const StreamOutcome out = pipeline.finalize();
@@ -474,12 +478,8 @@ TEST(StreamingTraceTest, StatsSeparateCallsFromTrials) {
     PipelineTrace trace;
     pipeline.begin(trial.va.sample_rate(), &seg, Rng(43), &trace);
     for (std::size_t off = 0; off < trial.va.size(); off += 2048) {
-      const std::size_t n =
-          std::min<std::size_t>(2048, trial.va.size() - off);
-      pipeline.push(trial.va.samples().subspan(off, n),
-                    trial.wearable.samples().subspan(
-                        off, std::min<std::size_t>(
-                                 n, trial.wearable.size() - off)));
+      pipeline.push(frame_at(trial.va, off, 2048),
+                    frame_at(trial.wearable, off, 2048));
     }
     pipeline.finalize();
     stats.add(trace);
