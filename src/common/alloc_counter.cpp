@@ -18,6 +18,8 @@ namespace vibguard {
 
 std::uint64_t allocation_count() noexcept { return tls_allocations; }
 
+void add_allocations(std::uint64_t n) noexcept { tls_allocations += n; }
+
 }  // namespace vibguard
 
 // Program-wide replacement of the scalar allocation functions (the array and

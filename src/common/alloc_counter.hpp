@@ -21,4 +21,8 @@ namespace vibguard {
 /// started. Take deltas; the absolute value includes runtime startup noise.
 std::uint64_t allocation_count() noexcept;
 
+/// Adds `n` allocations made on another thread on the calling thread's
+/// behalf (a Companion's task), so deltas around the handoff count them.
+void add_allocations(std::uint64_t n) noexcept;
+
 }  // namespace vibguard

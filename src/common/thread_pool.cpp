@@ -6,6 +6,13 @@
 #include <string>
 
 namespace vibguard {
+namespace {
+
+thread_local bool tls_pool_worker = false;
+
+}  // namespace
+
+bool ThreadPool::on_worker() { return tls_pool_worker; }
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads < 2) return;  // serial fallback: run inline
@@ -66,6 +73,7 @@ void ThreadPool::parallel_for_indexed(
 }
 
 void ThreadPool::worker_loop(std::size_t worker_id) {
+  tls_pool_worker = true;
   std::uint64_t seen = 0;
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {

@@ -33,6 +33,10 @@ class ThreadPool {
   /// Number of worker threads (0 in serial-fallback mode).
   std::size_t num_threads() const { return workers_.size(); }
 
+  /// True on a pool's worker thread (of any pool). Work there already has
+  /// sibling workers filling the cores, so it should not fan out further.
+  static bool on_worker();
+
   /// Runs fn(i) for every i in [0, count) and blocks until all calls have
   /// returned. Iterations may run in any order and on any worker; the first
   /// exception thrown by fn is rethrown here after the loop drains — every

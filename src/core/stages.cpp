@@ -4,9 +4,21 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "core/pipeline.hpp"
 
 namespace vibguard::core {
+namespace {
+
+// Whether this thread's captures split across its workspace's companion.
+// A pool worker's siblings already fill the cores, and a one-core host has
+// none to spare.
+bool split_capture() {
+  static const bool multicore = recommended_threads() >= 2;
+  return multicore && !ThreadPool::on_worker();
+}
+
+}  // namespace
 
 const QualityStage& QualityStage::instance() {
   static const QualityStage stage;
@@ -95,20 +107,29 @@ const VibrationCaptureStage& VibrationCaptureStage::instance() {
 
 void VibrationCaptureStage::run(PipelineContext& ctx) const {
   Workspace& ws = *ctx.ws;
-  const DefenseConfig& cfg = *ctx.config;
+  const device::Wearable& wearable = *ctx.wearable;
+  const auto& activity = ctx.config->user_activity;
   // VA stream first, wearable stream second — the rng draw order the
-  // deterministic experiment runner depends on.
-  if (cfg.user_activity.has_value()) {
-    ctx.wearable->cross_domain_capture_into(
-        *ctx.cur_va, *cfg.user_activity, *ctx.rng, ws.vib_va, ws.scratch);
-    ctx.wearable->cross_domain_capture_into(*ctx.cur_wear, *cfg.user_activity,
-                                            *ctx.rng, ws.vib_wear,
-                                            ws.scratch);
+  // deterministic experiment runner depends on. Drawing both before either
+  // realizes lets the two realize at once with the serial bits.
+  const sensors::CaptureDraw va_draw =
+      wearable.draw_capture(*ctx.cur_va, *ctx.rng, activity);
+  const sensors::CaptureDraw wear_draw =
+      wearable.draw_capture(*ctx.cur_wear, *ctx.rng, activity);
+  const bool split = split_capture();
+  dsp::Scratch& wear_scratch = split ? ws.wear_scratch : ws.scratch;
+  auto realize_va = [&] {
+    wearable.realize_capture(*ctx.cur_va, va_draw, ws.vib_va, ws.scratch);
+  };
+  auto realize_wear = [&] {
+    wearable.realize_capture(*ctx.cur_wear, wear_draw, ws.vib_wear,
+                             wear_scratch);
+  };
+  if (split) {
+    ws.companion.run(realize_va, realize_wear);
   } else {
-    ctx.wearable->cross_domain_capture_into(*ctx.cur_va, *ctx.rng, ws.vib_va,
-                                            ws.scratch);
-    ctx.wearable->cross_domain_capture_into(*ctx.cur_wear, *ctx.rng,
-                                            ws.vib_wear, ws.scratch);
+    realize_va();
+    realize_wear();
   }
   ctx.cur_va = &ws.vib_va;
   ctx.cur_wear = &ws.vib_wear;

@@ -25,7 +25,9 @@
 // A Workspace owns every reusable buffer one scoring thread needs. After a
 // few warm-up commands all buffers reach their high-water capacity and
 // repeated scoring performs zero steady-state heap allocations (measured by
-// bench_score_batch via common/alloc_counter.hpp).
+// bench_score_batch via common/alloc_counter.hpp). It also owns the
+// companion thread that captures the wearable channel while the scoring
+// thread captures the VA channel (VibrationCaptureStage).
 #pragma once
 
 #include <cstddef>
@@ -33,6 +35,7 @@
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/companion.hpp"
 #include "common/rng.hpp"
 #include "common/signal.hpp"
 #include "core/detector.hpp"
@@ -53,7 +56,7 @@ struct DefenseConfig;     // defined in core/pipeline.hpp
 /// Reusable per-thread storage for the staged pipeline. Not thread-safe;
 /// give each scoring thread its own instance. Every field is fully
 /// overwritten before being read on each run, so a Workspace carries no
-/// state between commands — only heap capacity.
+/// state between commands — only heap capacity, and its companion thread.
 struct Workspace {
   dsp::Scratch scratch;
 
@@ -70,6 +73,13 @@ struct Workspace {
   // VibrationCaptureStage outputs: 200 Hz accelerometer captures.
   Signal vib_va;
   Signal vib_wear;
+
+  /// VibrationCaptureStage realizes the wearable channel on `companion`,
+  /// through `wear_scratch`, while the scoring thread realizes the VA
+  /// channel through `scratch`. The thread starts on the first split
+  /// capture and is joined when the workspace is destroyed.
+  dsp::Scratch wear_scratch;
+  Companion companion;
 
   // FeatureStage / AudioFeatureStage outputs.
   dsp::Spectrogram feat_va;
@@ -181,7 +191,10 @@ class SegmentStage final : public Stage {
 };
 
 /// Cross-domain capture (paper Sec. IV-A): replays both streams through the
-/// wearable's speaker and records the induced vibration at 200 Hz.
+/// wearable's speaker and records the induced vibration at 200 Hz. Both
+/// channels draw serially, then realize at once: the wearable channel on
+/// the workspace's companion thread. A ThreadPool worker, or a host with
+/// recommended_threads() < 2, realizes both inline.
 class VibrationCaptureStage final : public Stage {
  public:
   const char* name() const override { return "vib_capture"; }

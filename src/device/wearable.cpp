@@ -1,5 +1,7 @@
 #include "device/wearable.hpp"
 
+#include <utility>
+
 namespace vibguard::device {
 
 WearableConfig fossil_gen5() {
@@ -44,8 +46,7 @@ Signal Wearable::cross_domain_capture(const Signal& recording,
 void Wearable::cross_domain_capture_into(const Signal& recording, Rng& rng,
                                          Signal& out,
                                          dsp::Scratch& scratch) const {
-  speaker_.render_into(recording, scratch.rendered, scratch.cwork);
-  accel_.capture_into(scratch.rendered, rng, out, scratch);
+  realize_capture(recording, draw_capture(recording, rng), out, scratch);
 }
 
 Signal Wearable::cross_domain_capture(const Signal& recording,
@@ -61,12 +62,27 @@ void Wearable::cross_domain_capture_into(const Signal& recording,
                                          sensors::Activity activity, Rng& rng,
                                          Signal& out,
                                          dsp::Scratch& scratch) const {
+  realize_capture(recording, draw_capture(recording, rng, activity), out,
+                  scratch);
+}
+
+sensors::CaptureDraw Wearable::draw_capture(
+    const Signal& recording, Rng& rng,
+    std::optional<sensors::Activity> activity) const {
+  if (!activity.has_value()) {
+    return accel_.draw(recording.size(), recording.sample_rate(), rng);
+  }
+  Signal motion = sensors::body_motion(*activity, recording.duration() + 0.1,
+                                       accel_.config().sample_rate, rng);
+  return accel_.draw_with_motion(recording.size(), recording.sample_rate(),
+                                 std::move(motion), rng);
+}
+
+void Wearable::realize_capture(const Signal& recording,
+                               const sensors::CaptureDraw& draw, Signal& out,
+                               dsp::Scratch& scratch) const {
   speaker_.render_into(recording, scratch.rendered, scratch.cwork);
-  const Signal motion = sensors::body_motion(
-      activity, recording.duration() + 0.1,
-      accel_.config().sample_rate, rng);
-  accel_.capture_with_motion_into(scratch.rendered, motion, rng, out,
-                                  scratch);
+  accel_.realize(scratch.rendered, draw, out, scratch);
 }
 
 }  // namespace vibguard::device

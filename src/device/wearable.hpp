@@ -4,6 +4,7 @@
 // Presets model the paper's two smartwatches (Fossil Gen 5, Moto 360 2020).
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "common/rng.hpp"
@@ -62,6 +63,21 @@ class Wearable {
   void cross_domain_capture_into(const Signal& recording,
                                  sensors::Activity activity, Rng& rng,
                                  Signal& out, dsp::Scratch& scratch) const;
+
+  /// The random half of cross_domain_capture() (DESIGN.md §5j): when
+  /// `activity` is set, renders its motion, then draws the accelerometer's
+  /// capture of the replayed `recording` (the speaker keeps its length and
+  /// rate). Reads only the recording's length and rate.
+  sensors::CaptureDraw draw_capture(
+      const Signal& recording, Rng& rng,
+      std::optional<sensors::Activity> activity = std::nullopt) const;
+
+  /// The pure half: the capture overloads are realize_capture(recording,
+  /// draw_capture(recording, rng[, activity]), out, scratch), bit for bit.
+  /// Calls with their own `out` and `scratch` may run at once.
+  void realize_capture(const Signal& recording,
+                       const sensors::CaptureDraw& draw, Signal& out,
+                       dsp::Scratch& scratch) const;
 
   const sensors::Accelerometer& accelerometer() const { return accel_; }
   const sensors::Speaker& speaker() const { return speaker_; }

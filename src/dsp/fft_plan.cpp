@@ -47,6 +47,40 @@ std::shared_ptr<const Pow2Tables> shared_pow2_tables(std::size_t n) {
   return slot;
 }
 
+// Radix-2 pass over a power-of-two buffer of the tables' size.
+void run_pow2(std::span<Complex> data, const Pow2Tables& tables,
+              bool inverse) {
+  const std::size_t n = data.size();
+  Complex* d = data.data();
+  const std::vector<std::size_t>& bitrev = tables.bitrev;
+  for (std::size_t p = 0; p + 1 < bitrev.size(); p += 2) {
+    std::swap(d[bitrev[p]], d[bitrev[p + 1]]);
+  }
+
+  const simd::Ops& ops = simd::ops();
+
+  // The len = 2 and len = 4 stages have multiplication-free twiddles (1 and
+  // ∓i) and run fused through one dispatched kernel.
+  ops.fft_stage2_4(d, n, inverse);
+
+  // Remaining stages read twiddles from the table and run fused through one
+  // dispatched kernel (scalar fallback is the pre-SIMD loop).
+  ops.fft_stages(d, n, tables.twiddles.data(), inverse);
+
+  if (inverse) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (std::size_t i = 0; i < n; ++i) d[i] *= inv_n;
+  }
+}
+
+// The packed input of one real transform: n/2 points for an even size, n
+// for an odd one. Per thread, since plans are shared; it only grows.
+std::span<Complex> packed_scratch(std::size_t n) {
+  thread_local AlignedVector<Complex> buffer;
+  if (buffer.size() < n) buffer.resize(n);
+  return {buffer.data(), n};
+}
+
 }  // namespace
 
 Pow2Tables::Pow2Tables(std::size_t n) {
@@ -70,79 +104,68 @@ Pow2Tables::Pow2Tables(std::size_t n) {
   }
 }
 
-FftPlan::FftPlan(std::size_t n) : n_(n) { init(/*build_real=*/true); }
+// The Bluestein form of an n-point DFT: a length-m circular convolution
+// with the chirp, run on m's radix-2 tables.
+struct FftPlan::Bluestein {
+  explicit Bluestein(std::size_t n);
 
-FftPlan::FftPlan(std::size_t n, bool build_real) : n_(n) { init(build_real); }
+  std::size_t m;                           ///< next_pow2(2n - 1) work size
+  std::shared_ptr<const Pow2Tables> pow2;  ///< m-point radix-2 tables
+  AlignedVector<Complex> chirp;            ///< w[k] = exp(-i*pi*k^2/n)
+  AlignedVector<Complex> bspec;            ///< forward FFT of the kernel b
+};
 
-void FftPlan::init(bool build_real) {
-  VIBGUARD_REQUIRE(n_ > 0, "FFT plan size must be positive");
-  is_pow2_ = is_pow2(n_);
-  pow2_n_ = is_pow2_ ? n_ : next_pow2(2 * n_ - 1);
-
-  pow2_ = shared_pow2_tables(pow2_n_);
-
-  if (!is_pow2_) {
-    // Bluestein: cache the chirp w[k] = exp(-i*pi*k^2/n) and the forward
-    // FFT of the convolution kernel b[k] = conj(w[|k|]).
-    m_ = pow2_n_;
-    chirp_.resize(n_);
-    for (std::size_t k = 0; k < n_; ++k) {
-      // k^2 mod 2n avoids precision loss for large k.
-      const auto k2 = static_cast<double>((k * k) % (2 * n_));
-      const double angle =
-          -std::numbers::pi * k2 / static_cast<double>(n_);
-      chirp_[k] = Complex(std::cos(angle), std::sin(angle));
-    }
-    bspec_.assign(m_, Complex(0.0, 0.0));
-    bspec_[0] = std::conj(chirp_[0]);
-    for (std::size_t k = 1; k < n_; ++k) {
-      bspec_[k] = bspec_[m_ - k] = std::conj(chirp_[k]);
-    }
-    run_pow2(bspec_, false);
+FftPlan::Bluestein::Bluestein(std::size_t n)
+    : m(next_pow2(2 * n - 1)), pow2(shared_pow2_tables(m)) {
+  // Cache the chirp w[k] = exp(-i*pi*k^2/n) and the forward FFT of the
+  // convolution kernel b[k] = conj(w[|k|]).
+  chirp.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    // k^2 mod 2n avoids precision loss for large k.
+    const auto k2 = static_cast<double>((k * k) % (2 * n));
+    const double angle = -std::numbers::pi * k2 / static_cast<double>(n);
+    chirp[k] = Complex(std::cos(angle), std::sin(angle));
   }
+  bspec.assign(m, Complex(0.0, 0.0));
+  bspec[0] = std::conj(chirp[0]);
+  for (std::size_t k = 1; k < n; ++k) {
+    bspec[k] = bspec[m - k] = std::conj(chirp[k]);
+  }
+  run_pow2(bspec, *pow2, false);
+}
+
+FftPlan::FftPlan(std::size_t n) : FftPlan(n, /*build_real=*/true) {}
+
+FftPlan::FftPlan(std::size_t n, bool build_real) : n_(n) {
+  VIBGUARD_REQUIRE(n_ > 0, "FFT plan size must be positive");
+  if (is_pow2(n_)) pow2_ = shared_pow2_tables(n_);
 
   if (build_real && n_ % 2 == 0) {
     const std::size_t h = n_ / 2;
     half_ = std::unique_ptr<FftPlan>(new FftPlan(h, /*build_real=*/false));
     rtwiddle_.resize(h + 1);
     for (std::size_t k = 0; k <= h; ++k) rtwiddle_[k] = unit_root(k, n_);
-    rscratch_.resize(h);
   }
 }
 
-void FftPlan::run_pow2(std::span<Complex> data, bool inverse) const {
-  const std::size_t n = data.size();
-  Complex* d = data.data();
-  const std::vector<std::size_t>& bitrev = pow2_->bitrev;
-  for (std::size_t p = 0; p + 1 < bitrev.size(); p += 2) {
-    std::swap(d[bitrev[p]], d[bitrev[p + 1]]);
-  }
+FftPlan::~FftPlan() = default;
 
-  const simd::Ops& ops = simd::ops();
-
-  // The len = 2 and len = 4 stages have multiplication-free twiddles (1 and
-  // ∓i) and run fused through one dispatched kernel.
-  ops.fft_stage2_4(d, n, inverse);
-
-  // Remaining stages read twiddles from the table and run fused through one
-  // dispatched kernel (scalar fallback is the pre-SIMD loop).
-  ops.fft_stages(d, n, pow2_->twiddles.data(), inverse);
-
-  if (inverse) {
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i) d[i] *= inv_n;
-  }
+const FftPlan::Bluestein& FftPlan::bluestein() const {
+  std::call_once(bluestein_once_,
+                 [this] { bluestein_ = std::make_unique<Bluestein>(n_); });
+  return *bluestein_;
 }
 
 void FftPlan::transform(std::span<Complex> data, bool inverse) const {
   VIBGUARD_REQUIRE(data.size() == n_, "buffer size must match plan size");
-  if (is_pow2_) {
-    run_pow2(data, inverse);
+  if (pow2_ != nullptr) {
+    run_pow2(data, *pow2_, inverse);
     return;
   }
 
   // Bluestein via the cached chirp. The inverse transform reuses the
   // forward chirp through DFT^-1(x) = conj(DFT(conj(x))) / n.
+  const Bluestein& b = bluestein();
   if (inverse) {
     for (Complex& x : data) x = std::conj(x);
   }
@@ -150,22 +173,22 @@ void FftPlan::transform(std::span<Complex> data, bool inverse) const {
   // never nests another Bluestein transform. It only grows, so plans of
   // alternating sizes never refill it.
   thread_local AlignedVector<Complex> scratch;
-  if (scratch.size() < m_) scratch.resize(m_);
-  const std::span<Complex> work(scratch.data(), m_);
+  if (scratch.size() < b.m) scratch.resize(b.m);
+  const std::span<Complex> work(scratch.data(), b.m);
   std::fill(work.begin() + static_cast<std::ptrdiff_t>(n_), work.end(),
             Complex(0.0, 0.0));
   const simd::Ops& ops = simd::ops();
-  ops.complex_multiply_to(work.data(), data.data(), chirp_.data(), n_);
-  run_pow2(work, false);
-  ops.complex_multiply_to(work.data(), work.data(), bspec_.data(), m_);
-  run_pow2(work, true);
+  ops.complex_multiply_to(work.data(), data.data(), b.chirp.data(), n_);
+  run_pow2(work, *b.pow2, false);
+  ops.complex_multiply_to(work.data(), work.data(), b.bspec.data(), b.m);
+  run_pow2(work, *b.pow2, true);
   if (inverse) {
     const double inv_n = 1.0 / static_cast<double>(n_);
     for (std::size_t k = 0; k < n_; ++k) {
-      data[k] = std::conj(work[k] * chirp_[k]) * inv_n;
+      data[k] = std::conj(work[k] * b.chirp[k]) * inv_n;
     }
   } else {
-    for (std::size_t k = 0; k < n_; ++k) data[k] = work[k] * chirp_[k];
+    for (std::size_t k = 0; k < n_; ++k) data[k] = work[k] * b.chirp[k];
   }
 }
 
@@ -179,10 +202,10 @@ void FftPlan::rfft(std::span<const double> in, std::span<Complex> out) const {
   }
   if (n_ % 2 != 0) {
     // Odd length: no conjugate-symmetric split; run the complex path.
-    rscratch_.resize(n_);
-    for (std::size_t i = 0; i < n_; ++i) rscratch_[i] = Complex(in[i], 0.0);
-    transform(rscratch_, false);
-    for (std::size_t k = 0; k < out.size(); ++k) out[k] = rscratch_[k];
+    const std::span<Complex> z = packed_scratch(n_);
+    for (std::size_t i = 0; i < n_; ++i) z[i] = Complex(in[i], 0.0);
+    transform(z, false);
+    for (std::size_t k = 0; k < out.size(); ++k) out[k] = z[k];
     return;
   }
 
@@ -190,18 +213,16 @@ void FftPlan::rfft(std::span<const double> in, std::span<Complex> out) const {
   // transform, then split the even/odd sub-spectra by conjugate symmetry:
   //   X[k] = E[k] + exp(-2*pi*i*k/n) * O[k].
   const std::size_t h = n_ / 2;
-  rscratch_.resize(h);
-  for (std::size_t j = 0; j < h; ++j) {
-    rscratch_[j] = Complex(in[2 * j], in[2 * j + 1]);
-  }
-  half_->transform(rscratch_, false);
+  const std::span<Complex> z = packed_scratch(h);
+  for (std::size_t j = 0; j < h; ++j) z[j] = Complex(in[2 * j], in[2 * j + 1]);
+  half_->transform(z, false);
 
-  const Complex z0 = rscratch_[0];
+  const Complex z0 = z[0];
   out[0] = Complex(z0.real() + z0.imag(), 0.0);
   out[h] = Complex(z0.real() - z0.imag(), 0.0);
   for (std::size_t k = 1; k < h; ++k) {
-    const Complex zk = rscratch_[k];
-    const Complex zc = std::conj(rscratch_[h - k]);
+    const Complex zk = z[k];
+    const Complex zc = std::conj(z[h - k]);
     const Complex even = 0.5 * (zk + zc);
     const Complex odd = Complex(0.0, -0.5) * (zk - zc);
     out[k] = even + rtwiddle_[k] * odd;
@@ -214,15 +235,16 @@ void FftPlan::magnitude(std::span<const double> in,
   for (double& v : out) v = std::sqrt(v);
 }
 
-void FftPlan::packed_power(std::span<double> out, double norm2) const {
+void FftPlan::packed_power(std::span<Complex> packed, std::span<double> out,
+                           double norm2) const {
   const std::size_t h = n_ / 2;
-  half_->transform(rscratch_, false);
-  const Complex z0 = rscratch_[0];
+  half_->transform(packed, false);
+  const Complex z0 = packed[0];
   const double x0 = z0.real() + z0.imag();
   const double xh = z0.real() - z0.imag();
   out[0] = x0 * x0 * norm2;
   out[h] = xh * xh * norm2;
-  simd::ops().rfft_split_power(rscratch_.data(), rtwiddle_.data(), h, norm2,
+  simd::ops().rfft_split_power(packed.data(), rtwiddle_.data(), h, norm2,
                                out.data());
 }
 
@@ -234,11 +256,10 @@ void FftPlan::power(std::span<const double> in, std::span<double> out) const {
   const double norm2 = norm * norm;
   if (n_ > 1 && n_ % 2 == 0) {
     // Packing adjacent real samples into complex pairs is a straight copy.
-    const std::size_t h = n_ / 2;
-    rscratch_.resize(h);
-    std::memcpy(reinterpret_cast<double*>(rscratch_.data()), in.data(),
+    const std::span<Complex> packed = packed_scratch(n_ / 2);
+    std::memcpy(reinterpret_cast<double*>(packed.data()), in.data(),
                 n_ * sizeof(double));
-    packed_power(out, norm2);
+    packed_power(packed, out, norm2);
     return;
   }
   thread_local std::vector<Complex> spec;
@@ -259,11 +280,9 @@ void FftPlan::windowed_power(const double* in, const double* window,
     // Window while packing: the windowed frame never hits memory. A
     // complex<double> array is array-of-double compatible, so the packed
     // buffer is just the elementwise product written in place.
-    const std::size_t h = n_ / 2;
-    rscratch_.resize(h);
-    simd::multiply(in, window, reinterpret_cast<double*>(rscratch_.data()),
-                   n_);
-    packed_power(out, norm2);
+    const std::span<Complex> packed = packed_scratch(n_ / 2);
+    simd::multiply(in, window, reinterpret_cast<double*>(packed.data()), n_);
+    packed_power(packed, out, norm2);
     return;
   }
   thread_local std::vector<double> frame;
@@ -273,11 +292,13 @@ void FftPlan::windowed_power(const double* in, const double* window,
 }
 
 const FftPlan& get_plan(std::size_t n) {
-  thread_local std::unordered_map<std::size_t, std::unique_ptr<FftPlan>>
-      cache;
-  auto& slot = cache[n];
-  if (slot == nullptr) slot = std::make_unique<FftPlan>(n);
-  return *slot;
+  static std::mutex mutex;
+  static std::unordered_map<std::size_t, std::unique_ptr<const FftPlan>>
+      plans;
+  const std::lock_guard<std::mutex> lock(mutex);
+  auto& plan = plans[n];
+  if (plan == nullptr) plan = std::make_unique<const FftPlan>(n);
+  return *plan;
 }
 
 }  // namespace vibguard::dsp

@@ -8,18 +8,19 @@
 // N/2-point complex one, roughly halving the work of every
 // magnitude/power-spectrum call.
 //
-// Plans are cached per thread by size (get_plan), so hot loops such as the
-// STFT pay the setup cost once per (thread, size) and the cache needs no
-// locking. The radix-2 tables depend only on the power-of-two size a plan
-// runs, so every plan that runs one size shares one immutable copy, and
-// Bluestein plans take their convolution buffer from per-thread scratch:
-// a new length costs its chirp and kernel spectrum, not another set of
-// tables.
+// A plan is immutable once built, so get_plan keeps one per size for the
+// whole process, in one locked map: every thread that runs a size shares
+// its plan. The buffers a transform writes are per-thread scratch. The radix-2 tables depend only
+// on the power-of-two size a plan runs, so plans that run one size share
+// one copy of them too. A non-power-of-two plan builds its Bluestein chirp
+// and kernel on its first transform(), so an even size used only for real
+// transforms, which run through its half plan, never builds them.
 #pragma once
 
 #include <complex>
 #include <cstddef>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -32,12 +33,14 @@ using Complex = std::complex<double>;
 /// Immutable radix-2 tables for one power-of-two size (fft_plan.cpp).
 struct Pow2Tables;
 
-/// Precomputed transform of one fixed size. A plan's scratch buffers make it
-/// safe for repeated use from one thread but not for concurrent calls;
-/// get_plan hands each thread its own instance.
+/// Precomputed transform of one fixed size. Every method is safe to call
+/// concurrently on one plan: the plan is read-only after construction
+/// (its Bluestein tables are built once, under std::call_once) and each
+/// call works in the calling thread's scratch.
 class FftPlan {
  public:
   explicit FftPlan(std::size_t n);
+  ~FftPlan();
 
   std::size_t size() const { return n_; }
 
@@ -65,44 +68,41 @@ class FftPlan {
                       std::span<double> out) const;
 
  private:
-  // Nested plans (the rfft half plan, the Bluestein work plan) skip their
-  // own real-input setup; only transform() is ever called on them.
+  // The rfft half plan skips its own real-input setup; only transform() is
+  // ever called on it.
   FftPlan(std::size_t n, bool build_real);
-  void init(bool build_real);
 
-  /// Radix-2 pass over a power-of-two buffer using the precomputed tables
-  /// (size pow2_n_: n_ itself when it is a power of two, else the Bluestein
-  /// work size m_).
-  void run_pow2(std::span<Complex> data, bool inverse) const;
+  /// Bluestein transform of a non-power-of-two size (fft_plan.cpp).
+  struct Bluestein;
 
-  /// Transforms the packed even/odd sequence already in rscratch_ and
+  /// The Bluestein tables, built on first use.
+  const Bluestein& bluestein() const;
+
+  /// Transforms the packed even/odd sequence in `packed` (n_/2 points) and
   /// writes one-sided power-spectrum bins (scaled by norm2) into out.
   /// Even-size real-input fast path shared by power/windowed_power.
-  void packed_power(std::span<double> out, double norm2) const;
+  void packed_power(std::span<Complex> packed, std::span<double> out,
+                    double norm2) const;
 
   std::size_t n_ = 0;
-  bool is_pow2_ = false;
 
-  // Power-of-two machinery (for n_ or, when Bluestein, for m_), shared
-  // with every other plan of that size. The Complex tables are 64-byte
-  // aligned: the SIMD butterfly/split kernels stream them every transform.
-  std::size_t pow2_n_ = 0;
+  // Radix-2 tables for a power-of-two n_, shared with every other plan of
+  // that size. The Complex tables are 64-byte aligned: the SIMD
+  // butterfly/split kernels stream them every transform.
   std::shared_ptr<const Pow2Tables> pow2_;
 
-  // Bluestein machinery (non-power-of-two sizes). The length-m_
-  // convolution buffer is per-thread scratch.
-  std::size_t m_ = 0;                ///< next_pow2(2n - 1) work size
-  AlignedVector<Complex> chirp_;     ///< w[k] = exp(-i*pi*k^2/n)
-  AlignedVector<Complex> bspec_;     ///< forward FFT of the chirp kernel b
+  // Bluestein machinery (non-power-of-two n_), built by the first
+  // transform(). Its length-m convolution buffer is per-thread scratch.
+  mutable std::once_flag bluestein_once_;
+  mutable std::unique_ptr<const Bluestein> bluestein_;
 
   // Real-input machinery (even n_ only).
   std::unique_ptr<FftPlan> half_;       ///< n_/2-point complex plan
   AlignedVector<Complex> rtwiddle_;     ///< exp(-2*pi*i*k/n), k = 0..n/2
-  mutable AlignedVector<Complex> rscratch_;  ///< packed half-length buffer
 };
 
-/// Thread-local size-keyed plan cache. The returned reference stays valid
-/// for the calling thread's lifetime.
+/// The process-wide plan for size `n`, built on first use. The reference
+/// stays valid for the life of the process.
 const FftPlan& get_plan(std::size_t n);
 
 }  // namespace vibguard::dsp

@@ -88,8 +88,9 @@ Spectrogram stft_power(const Signal& signal, std::size_t window_size,
                        WindowType window = WindowType::kHann);
 
 /// Allocation-free overload: reshapes `out` (reusing its storage) and fills
-/// it with the power spectrogram. Uses the thread-local window/plan caches,
-/// so repeated calls at steady state perform no heap allocations.
+/// it with the power spectrogram. Uses the thread-local window cache and the
+/// shared FFT plans, so repeated calls at steady state perform no heap
+/// allocations.
 void stft_power_into(const Signal& signal, std::size_t window_size,
                      std::size_t hop, Spectrogram& out,
                      WindowType window = WindowType::kHann);

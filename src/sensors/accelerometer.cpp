@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <utility>
 
 #include "common/error.hpp"
 #include "dsp/filter.hpp"
@@ -51,15 +52,9 @@ void Accelerometer::capture_with_motion_into(const Signal& audio,
                                              const Signal& motion, Rng& rng,
                                              Signal& out,
                                              dsp::Scratch& scratch) const {
-  VIBGUARD_REQUIRE(motion.empty() ||
-                       motion.sample_rate() == config_.sample_rate,
-                   "motion signal must be at the accelerometer rate");
-  AccelerometerConfig quiet = config_;
-  quiet.body_motion_rms = 0.0;  // replace the stand-in with real motion
-  Accelerometer(quiet).capture_into(audio, rng, out, scratch);
-  for (std::size_t i = 0; i < out.size() && i < motion.size(); ++i) {
-    out[i] += motion[i];
-  }
+  realize(audio,
+          draw_with_motion(audio.size(), audio.sample_rate(), motion, rng),
+          out, scratch);
 }
 
 Signal Accelerometer::capture(const Signal& audio, Rng& rng) const {
@@ -71,8 +66,42 @@ Signal Accelerometer::capture(const Signal& audio, Rng& rng) const {
 
 void Accelerometer::capture_into(const Signal& audio, Rng& rng, Signal& out,
                                  dsp::Scratch& scratch) const {
-  VIBGUARD_REQUIRE(audio.sample_rate() >= 2.0 * config_.sample_rate,
+  realize(audio, draw(audio.size(), audio.sample_rate(), rng), out, scratch);
+}
+
+CaptureDraw Accelerometer::draw(std::size_t samples, double sample_rate,
+                                Rng& rng) const {
+  VIBGUARD_REQUIRE(sample_rate >= 2.0 * config_.sample_rate,
                    "audio rate must be at least twice the accelerometer rate");
+  CaptureDraw d;
+  if (samples == 0) return d;
+  // Effect 4's noise: one normal per output sample.
+  d.noise = rng.take_gaussians(
+      dsp::resampled_size(samples, sample_rate, config_.sample_rate));
+  // Body motion: slow oscillation within 0.3–3.5 Hz.
+  if (config_.body_motion_rms > 0.0) {
+    d.stand_in = true;
+    d.motion_hz = rng.uniform(0.3, 3.5);
+    d.motion_phase = rng.uniform(0.0, 2.0 * std::numbers::pi);
+  }
+  return d;
+}
+
+CaptureDraw Accelerometer::draw_with_motion(std::size_t samples,
+                                            double sample_rate, Signal motion,
+                                            Rng& rng) const {
+  VIBGUARD_REQUIRE(motion.empty() ||
+                       motion.sample_rate() == config_.sample_rate,
+                   "motion signal must be at the accelerometer rate");
+  AccelerometerConfig quiet = config_;
+  quiet.body_motion_rms = 0.0;  // replace the stand-in with real motion
+  CaptureDraw d = Accelerometer(quiet).draw(samples, sample_rate, rng);
+  d.motion = std::move(motion);
+  return d;
+}
+
+void Accelerometer::realize(const Signal& audio, const CaptureDraw& draw,
+                            Signal& out, dsp::Scratch& scratch) const {
   if (audio.empty()) {
     out.reset(config_.sample_rate);
     return;
@@ -118,17 +147,20 @@ void Accelerometer::capture_into(const Signal& audio, Rng& rng, Signal& out,
   const double noise_rms =
       config_.base_noise_rms +
       config_.lf_noise_coeff * dominance * dominance * effective_rms;
-  for (double& s : out) s += rng.gaussian(0.0, noise_rms);
+  Rng noise = draw.noise;
+  for (double& s : out) s += noise.gaussian(0.0, noise_rms);
 
-  // Body motion: slow oscillation within 0.3–3.5 Hz plus drift.
-  if (config_.body_motion_rms > 0.0) {
-    const double f_motion = rng.uniform(0.3, 3.5);
-    const double phase = rng.uniform(0.0, 2.0 * std::numbers::pi);
+  // Body motion: the stand-in's slow oscillation, or the explicit motion.
+  if (draw.stand_in) {
     const double amp = config_.body_motion_rms * std::numbers::sqrt2;
     for (std::size_t i = 0; i < out.size(); ++i) {
       const double t = static_cast<double>(i) / config_.sample_rate;
-      out[i] += amp * std::sin(2.0 * std::numbers::pi * f_motion * t + phase);
+      out[i] += amp * std::sin(2.0 * std::numbers::pi * draw.motion_hz * t +
+                               draw.motion_phase);
     }
+  }
+  for (std::size_t i = 0; i < out.size() && i < draw.motion.size(); ++i) {
+    out[i] += draw.motion[i];
   }
 }
 

@@ -18,6 +18,8 @@
 //     *noisy* in the vibration domain and therefore decorrelated.
 #pragma once
 
+#include <cstddef>
+
 #include "common/rng.hpp"
 #include "common/signal.hpp"
 #include "dsp/scratch.hpp"
@@ -60,6 +62,21 @@ struct AccelerometerConfig {
   bool anti_alias = false;
 };
 
+/// Everything one capture draws from its generator, in draw order
+/// (DESIGN.md §5j): the amplifier noise, reserved as a generator positioned
+/// at it, then the body motion.
+struct CaptureDraw {
+  Rng noise;  ///< its first gaussian() calls are the per-sample noise
+  /// The built-in body-motion stand-in (config body_motion_rms > 0, and no
+  /// explicit motion): its frequency and phase.
+  bool stand_in = false;
+  double motion_hz = 0.0;
+  double motion_phase = 0.0;
+  /// Explicit motion at the accelerometer rate, added in place of the
+  /// stand-in (capture_with_motion, or the wearer's activity).
+  Signal motion;
+};
+
 /// Converts audio played at the wearable into a 200 Hz vibration signal.
 class Accelerometer {
  public:
@@ -84,10 +101,31 @@ class Accelerometer {
   Signal capture_with_motion(const Signal& audio, const Signal& motion,
                              Rng& rng) const;
 
-  /// Allocation-free overload of capture_with_motion().
+  /// Overload of capture_with_motion() writing into `out` and routing every
+  /// temporary through `scratch`; only the copy of `motion` it draws
+  /// allocates.
   void capture_with_motion_into(const Signal& audio, const Signal& motion,
                                 Rng& rng, Signal& out,
                                 dsp::Scratch& scratch) const;
+
+  /// The random half of capture() for audio of `samples` samples at
+  /// `sample_rate`: checks the rate and draws what the capture consumes.
+  /// Empty audio draws nothing.
+  CaptureDraw draw(std::size_t samples, double sample_rate, Rng& rng) const;
+
+  /// The random half of capture_with_motion(): `motion` replaces the
+  /// built-in stand-in, so only the noise is drawn.
+  CaptureDraw draw_with_motion(std::size_t samples, double sample_rate,
+                               Signal motion, Rng& rng) const;
+
+  /// The pure half: capture_into(audio, rng, out, scratch) ==
+  /// realize(audio, draw(audio.size(), audio.sample_rate(), rng), out,
+  /// scratch), bit for bit, and likewise for the motion overloads. It
+  /// touches no Rng but a copy of the draw's, and shares only thread-local
+  /// caches and immutable FFT plans, so captures with their own `out` and
+  /// `scratch` can be realized at once.
+  void realize(const Signal& audio, const CaptureDraw& draw, Signal& out,
+               dsp::Scratch& scratch) const;
 
   /// Coupling gain (effect 1) at audio frequency `f_hz`.
   double coupling_gain(double f_hz) const;

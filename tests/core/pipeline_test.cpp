@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "attacks/attack.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
+#include "dsp/simd.hpp"
 #include "eval/experiment.hpp"
 #include "eval/scenario.hpp"
 
@@ -224,6 +229,153 @@ TEST(PipelineTest, TraceExposesFeatures) {
   sys.score(t.va, t.wearable, nullptr, rng, &trace);
   EXPECT_GT(trace.features_va.frames(), 0u);
   EXPECT_EQ(trace.features_va.bins(), trace.features_wearable.bins());
+}
+
+void expect_same_bits(const Signal& got, const Signal& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << "sample " << i;
+  }
+}
+
+// Both generators at the same point of their streams, a pending
+// Box–Muller spare included.
+void expect_same_stream(Rng got, Rng want) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.gaussian()),
+            std::bit_cast<std::uint64_t>(want.gaussian()));
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(got(), want());
+}
+
+TEST(PipelineTest, SplitCaptureMatchesSerialCapture) {
+  // The stage draws both channels, then realizes the wearable channel on
+  // the workspace's companion (inline on a pool worker). Its captures and
+  // the rng it leaves must equal two serial one-call captures, VA first.
+  const auto t = attack_trial(95);
+  namespace simd = dsp::simd;
+  const simd::Level prev = simd::active_level();
+  for (const simd::Level level :
+       {simd::Level::kScalar, simd::detect_level()}) {
+    ASSERT_TRUE(simd::set_level(level));
+    for (const bool moving : {false, true}) {
+      SCOPED_TRACE(testing::Message() << simd::level_name(level)
+                                      << (moving ? ", walking" : ""));
+      DefenseConfig cfg;
+      if (moving) cfg.user_activity = sensors::Activity::kWalking;
+      const DefenseSystem sys(cfg);
+      Rng serial(96);
+      Signal want_va, want_wear;
+      dsp::Scratch scratch;
+      if (moving) {
+        sys.wearable().cross_domain_capture_into(t.va, *cfg.user_activity,
+                                                 serial, want_va, scratch);
+        sys.wearable().cross_domain_capture_into(
+            t.wearable, *cfg.user_activity, serial, want_wear, scratch);
+      } else {
+        sys.wearable().cross_domain_capture_into(t.va, serial, want_va,
+                                                 scratch);
+        sys.wearable().cross_domain_capture_into(t.wearable, serial,
+                                                 want_wear, scratch);
+      }
+
+      const auto capture = [&](Workspace& ws) {
+        Rng rng(96);
+        PipelineContext ctx;
+        ctx.config = &sys.config();
+        ctx.wearable = &sys.wearable();
+        ctx.rng = &rng;
+        ctx.ws = &ws;
+        ctx.cur_va = &t.va;
+        ctx.cur_wear = &t.wearable;
+        VibrationCaptureStage::instance().run(ctx);
+        return rng;
+      };
+      Workspace ws;
+      for (int pass = 0; pass < 2; ++pass) {  // cold, then warm
+        const Rng after = capture(ws);
+        expect_same_bits(ws.vib_va, want_va);
+        expect_same_bits(ws.vib_wear, want_wear);
+        expect_same_stream(after, serial);
+      }
+
+      ThreadPool pool(2);
+      Workspace pool_ws;
+      Rng pool_after;
+      bool on_worker = false;
+      pool.parallel_for(2, [&](std::size_t i) {
+        if (i != 0) return;
+        on_worker = ThreadPool::on_worker();
+        pool_after = capture(pool_ws);
+      });
+      EXPECT_TRUE(on_worker);
+      expect_same_bits(pool_ws.vib_va, want_va);
+      expect_same_bits(pool_ws.vib_wear, want_wear);
+      expect_same_stream(pool_after, serial);
+    }
+  }
+  simd::set_level(prev);
+}
+
+TEST(PipelineTest, ThrowingCaptureEndsAsVibCaptureError) {
+  // A negative noise floor makes both channels throw as they realize: the
+  // VA channel on this thread, the wearable channel on the companion.
+  DefenseConfig bad;
+  bad.wearable.accelerometer.base_noise_rms = -1.0;
+  const DefenseSystem broken(bad);
+  const DefenseSystem healthy{DefenseConfig{}};
+  const auto t = legit_trial(97);
+  OracleSegmenter seg(t.alignment, eval::reference_sensitive_set());
+  Workspace workspace;
+  for (int pass = 0; pass < 2; ++pass) {
+    Rng rng(98);
+    const ScoreOutcome outcome =
+        broken.try_score(t.va, t.wearable, &seg, rng, workspace);
+    EXPECT_EQ(outcome.status, ScoreStatus::kError);
+    EXPECT_STREQ(outcome.reason, "vib_capture");
+    EXPECT_FALSE(outcome.error.empty());
+  }
+  // The workspace, companion included, then scores as a fresh one does.
+  Rng r1(99), r2(99);
+  EXPECT_EQ(healthy.score(t.va, t.wearable, &seg, r1, workspace),
+            healthy.score(t.va, t.wearable, &seg, r2));
+}
+
+// Threads that have run tag_thread() and not yet exited. A thread's
+// thread_local destructors finish before its join returns, so the count
+// is exact right after a join.
+std::atomic<int> tagged_threads{0};
+
+struct ThreadTag {
+  ThreadTag() { ++tagged_threads; }
+  ~ThreadTag() { --tagged_threads; }
+};
+
+void tag_thread() { thread_local const ThreadTag tag; }
+
+TEST(PipelineTest, WorkspaceOwnsItsCompanionThread) {
+  DefenseSystem sys{DefenseConfig{}};
+  const auto t = legit_trial(100);
+  OracleSegmenter seg(t.alignment, eval::reference_sensitive_set());
+  Rng r0(101);
+  const double want = sys.score(t.va, t.wearable, &seg, r0);
+  auto quiet = [] {};
+  auto tag = [] { tag_thread(); };
+  {
+    Workspace ws;
+    Rng r1(101);
+    EXPECT_EQ(sys.score(t.va, t.wearable, &seg, r1, ws), want);
+    ws.companion.run(quiet, tag);
+    // Moving a workspace moves its companion; the moved-from workspace
+    // starts a new one, and still scores the same.
+    Workspace moved = std::move(ws);
+    Rng r2(101), r3(101);
+    EXPECT_EQ(sys.score(t.va, t.wearable, &seg, r2, moved), want);
+    EXPECT_EQ(sys.score(t.va, t.wearable, &seg, r3, ws), want);
+    ws.companion.run(quiet, tag);
+    EXPECT_EQ(tagged_threads, 2);
+  }
+  EXPECT_EQ(tagged_threads, 0);  // destruction joined both companions
 }
 
 }  // namespace

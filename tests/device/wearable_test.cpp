@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "dsp/generate.hpp"
 #include "dsp/spectral.hpp"
 
@@ -58,6 +65,77 @@ TEST(WearableTest, CaptureIsReproducibleGivenSeed) {
   ASSERT_EQ(v1.size(), v2.size());
   for (std::size_t i = 0; i < v1.size(); ++i) {
     EXPECT_DOUBLE_EQ(v1[i], v2[i]);
+  }
+}
+
+// The capture as the wearable composed it before its draw/realize split:
+// render, then the activity's motion, then the accelerometer's one-call
+// capture of the rendered replay.
+Signal composed_capture(const Wearable& w, const Signal& rec,
+                        std::optional<sensors::Activity> activity,
+                        Rng& rng) {
+  const Signal rendered = w.speaker().render(rec);
+  if (!activity) return w.accelerometer().capture(rendered, rng);
+  const Signal motion =
+      sensors::body_motion(*activity, rec.duration() + 0.1,
+                           w.accelerometer().config().sample_rate, rng);
+  return w.accelerometer().capture_with_motion(rendered, motion, rng);
+}
+
+TEST(WearableTest, DrawThenRealizeMatchesCapture) {
+  // realize_capture(draw_capture(...)) against the one-call capture, and
+  // against the pre-split composition, each on a copy of the same
+  // generator: the same vibration bits, and the generator left at the
+  // same point (a pending Box–Muller spare included).
+  WearableConfig still = fossil_gen5();
+  still.accelerometer.body_motion_rms = 0.0;
+  Rng noise(41);
+  const Signal speech = dsp::pink_noise(0.6, 16000.0, 0.05, noise);
+  // Decimates to no 200 Hz sample, but still draws the motion.
+  const Signal tiny = dsp::pink_noise(50.0 / 16000.0, 16000.0, 0.05, noise);
+  const Signal empty({}, 16000.0);
+  std::vector<std::optional<sensors::Activity>> activities = {std::nullopt};
+  for (const sensors::Activity a : sensors::all_activities()) {
+    activities.push_back(a);
+  }
+  for (const WearableConfig& cfg : {fossil_gen5(), still}) {
+    const Wearable w(cfg);
+    for (const auto& activity : activities) {
+      for (const Signal* rec : {&speech, &tiny, &empty}) {
+        for (const bool spare : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << "motion rms "
+                       << cfg.accelerometer.body_motion_rms << ", activity "
+                       << (activity ? sensors::activity_name(*activity)
+                                    : std::string("none"))
+                       << ", " << rec->size() << " samples, spare " << spare);
+          Rng one_call(42);
+          if (spare) one_call.gaussian();  // leaves a Box–Muller spare
+          Rng split = one_call, composed = one_call;
+          const Signal want =
+              activity ? w.cross_domain_capture(*rec, *activity, one_call)
+                       : w.cross_domain_capture(*rec, one_call);
+          const Signal ref = composed_capture(w, *rec, activity, composed);
+          dsp::Scratch scratch;
+          Signal got;
+          w.realize_capture(*rec, w.draw_capture(*rec, split, activity), got,
+                            scratch);
+          for (const auto& [expected, expected_rng] :
+               {std::pair{&want, one_call}, std::pair{&ref, composed}}) {
+            ASSERT_EQ(got.size(), expected->size());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                        std::bit_cast<std::uint64_t>((*expected)[i]))
+                  << "sample " << i;
+            }
+            Rng a = split, b = expected_rng;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(a.gaussian()),
+                      std::bit_cast<std::uint64_t>(b.gaussian()));
+            for (int i = 0; i < 3; ++i) EXPECT_EQ(a(), b());
+          }
+        }
+      }
+    }
   }
 }
 

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <ios>
 #include <numbers>
+#include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "dsp/fft_plan.hpp"
@@ -170,6 +173,86 @@ TEST(FftTest, BluesteinSpectrumBitsArePinned) {
   for (const double v : power) mix(v);
   simd::set_level(prev);
   EXPECT_EQ(h, 0x638d130cb054693cull) << "spectrum hash is 0x" << std::hex << h;
+}
+
+TEST(FftTest, PlansAreSharedAcrossThreads) {
+  for (const std::size_t n : {std::size_t{999}, std::size_t{1000},
+                              std::size_t{1024}}) {
+    const FftPlan* here = &get_plan(n);
+    const FftPlan* there = nullptr;
+    std::thread([&] { there = &get_plan(n); }).join();
+    EXPECT_EQ(here, there) << n;
+    EXPECT_EQ(&get_plan(n), here) << n;
+  }
+}
+
+TEST(FftTest, SharedPlanIsBitIdenticalUnderConcurrency) {
+  // Odd (Bluestein), even with a Bluestein half plan, and power of two.
+  // Each plan is fresh, so its lazy Bluestein tables — the even size's
+  // top-level ones included — are first built by the racing transform()s.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const std::size_t n : {std::size_t{999}, std::size_t{1000},
+                              std::size_t{1024}}) {
+    SCOPED_TRACE(n);
+    Rng rng(n);
+    std::vector<double> real(n);
+    for (double& v : real) v = rng.gaussian();
+    std::vector<Complex> cplx(n);
+    for (Complex& v : cplx) v = Complex(rng.gaussian(), rng.gaussian());
+
+    struct Result {
+      std::vector<Complex> forward, inverse, spectrum;
+      std::vector<double> power, magnitude;
+    };
+    const auto run_all = [&](const FftPlan& plan) {
+      Result r;
+      r.forward = cplx;
+      plan.transform(r.forward, false);
+      r.inverse = r.forward;
+      plan.transform(r.inverse, true);
+      r.spectrum.resize(n / 2 + 1);
+      plan.rfft(real, r.spectrum);
+      r.power.resize(n / 2 + 1);
+      plan.power(real, r.power);
+      r.magnitude.resize(n / 2 + 1);
+      plan.magnitude(real, r.magnitude);
+      return r;
+    };
+    const Result want = run_all(FftPlan(n));
+
+    const FftPlan shared(n);
+    constexpr int kThreads = 4;
+    std::vector<Result> got(kThreads);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+        }
+        for (int round = 0; round < 20; ++round) got[t] = run_all(shared);
+      });
+    }
+    for (std::thread& th : threads) th.join();
+
+    const auto same = [&](const std::vector<Complex>& a,
+                          const std::vector<Complex>& b) {
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t k = 0; k < a.size(); ++k) {
+        ASSERT_EQ(bits(a[k].real()), bits(b[k].real())) << k;
+        ASSERT_EQ(bits(a[k].imag()), bits(b[k].imag())) << k;
+      }
+    };
+    for (const Result& r : got) {
+      same(r.forward, want.forward);
+      same(r.inverse, want.inverse);
+      same(r.spectrum, want.spectrum);
+      for (std::size_t k = 0; k <= n / 2; ++k) {
+        ASSERT_EQ(bits(r.power[k]), bits(want.power[k])) << k;
+        ASSERT_EQ(bits(r.magnitude[k]), bits(want.magnitude[k])) << k;
+      }
+    }
+  }
 }
 
 TEST(FftTest, ToneLandsInCorrectBin) {

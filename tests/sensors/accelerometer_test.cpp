@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numbers>
 
 #include "common/error.hpp"
 #include "dsp/fft.hpp"
@@ -12,6 +13,7 @@
 #include "dsp/generate.hpp"
 #include "dsp/resample.hpp"
 #include "dsp/spectral.hpp"
+#include "sensors/body_motion.hpp"
 
 namespace vibguard::sensors {
 namespace {
@@ -24,11 +26,14 @@ AccelerometerConfig quiet_config() {
   return cfg;
 }
 
-// capture_into's definition without body motion: both gain curves
-// evaluated through std::function for every bin, then amplifier noise.
+// capture_into's definition as one inline pass over the generator: both
+// gain curves evaluated through std::function for every bin, then the
+// amplifier noise, then the body motion — the stand-in's frequency and
+// phase, or `motion` in its place.
 Signal reference_capture(const Accelerometer& acc, const Signal& audio,
-                         Rng& rng) {
+                         Rng& rng, const Signal* motion = nullptr) {
   const AccelerometerConfig& cfg = acc.config();
+  if (audio.empty()) return Signal({}, cfg.sample_rate);
   const double dominance = acc.lf_dominance(audio);
   const double excitation_rms = audio.rms();
   const Signal coupled = dsp::apply_gain_curve(
@@ -42,6 +47,19 @@ Signal reference_capture(const Accelerometer& acc, const Signal& audio,
                                                     dominance * dominance *
                                                     effective_rms;
   for (double& s : out) s += rng.gaussian(0.0, noise_rms);
+  if (motion != nullptr) {
+    for (std::size_t i = 0; i < out.size() && i < motion->size(); ++i) {
+      out[i] += (*motion)[i];
+    }
+  } else if (cfg.body_motion_rms > 0.0) {
+    const double f_motion = rng.uniform(0.3, 3.5);
+    const double phase = rng.uniform(0.0, 2.0 * std::numbers::pi);
+    const double amp = cfg.body_motion_rms * std::numbers::sqrt2;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const double t = static_cast<double>(i) / cfg.sample_rate;
+      out[i] += amp * std::sin(2.0 * std::numbers::pi * f_motion * t + phase);
+    }
+  }
   return out;
 }
 
@@ -203,6 +221,79 @@ TEST(AccelerometerTest, RejectsUndersampledAudio) {
   Rng rng(8);
   const Signal audio({1.0, 2.0}, 300.0);
   EXPECT_THROW(acc.capture(audio, rng), vibguard::InvalidArgument);
+}
+
+// Same samples bit for bit, and the generators left at the same point of
+// their streams (a pending Box–Muller spare included).
+void expect_same_capture(const Signal& got, Rng got_rng, const Signal& want,
+                         Rng want_rng) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.sample_rate(), want.sample_rate());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << "sample " << i;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got_rng.gaussian()),
+            std::bit_cast<std::uint64_t>(want_rng.gaussian()));
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(got_rng(), want_rng());
+}
+
+TEST(AccelerometerTest, DrawThenRealizeMatchesCapture) {
+  AccelerometerConfig still;
+  still.body_motion_rms = 0.0;
+  Rng noise(31);
+  const Signal speech = dsp::pink_noise(0.7, 16000.0, 0.05, noise);
+  // 50 samples at 16 kHz decimate to no 200 Hz sample at all, yet the
+  // capture still draws the stand-in motion's two uniforms.
+  const Signal tiny = dsp::pink_noise(50.0 / 16000.0, 16000.0, 0.05, noise);
+  ASSERT_EQ(dsp::resampled_size(tiny.size(), 16000.0, 200.0), 0u);
+  const Signal empty({}, 16000.0);
+  for (const AccelerometerConfig& cfg : {AccelerometerConfig{}, still}) {
+    const Accelerometer acc(cfg);
+    for (const Signal* audio : {&speech, &tiny, &empty}) {
+      for (const bool spare : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "motion rms " << cfg.body_motion_rms << ", "
+                     << audio->size() << " samples, spare " << spare);
+        Rng one_call(32);
+        if (spare) one_call.gaussian();  // leaves a Box–Muller spare
+        Rng split = one_call, inline_draws = one_call;
+        const Signal want = acc.capture(*audio, one_call);
+        dsp::Scratch scratch;
+        Signal got;
+        acc.realize(*audio, acc.draw(audio->size(), 16000.0, split), got,
+                    scratch);
+        expect_same_capture(got, split, want, one_call);
+        const Signal ref = reference_capture(acc, *audio, inline_draws);
+        expect_same_capture(got, split, ref, inline_draws);
+      }
+    }
+    // Empty audio draws nothing at all.
+    Rng untouched(33), reference(33);
+    acc.draw(0, 16000.0, untouched);
+    EXPECT_EQ(untouched(), reference());
+  }
+
+  // Explicit motion, as each activity renders it, replaces the stand-in.
+  const Accelerometer acc;
+  for (const Activity activity : all_activities()) {
+    SCOPED_TRACE(activity_name(activity));
+    Rng motion_rng(34);
+    const Signal motion =
+        body_motion(activity, speech.duration(), 200.0, motion_rng);
+    Rng one_call(35);
+    Rng split = one_call, inline_draws = one_call;
+    const Signal want = acc.capture_with_motion(speech, motion, one_call);
+    dsp::Scratch scratch;
+    Signal got;
+    acc.realize(speech,
+                acc.draw_with_motion(speech.size(), 16000.0, motion, split),
+                got, scratch);
+    expect_same_capture(got, split, want, one_call);
+    const Signal ref = reference_capture(acc, speech, inline_draws, &motion);
+    expect_same_capture(got, split, ref, inline_draws);
+  }
 }
 
 TEST(AccelerometerTest, EmptyAudioEmptyVibration) {
