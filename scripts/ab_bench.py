@@ -9,9 +9,18 @@ alike. vgbench itself runs unedited.
 
 For every end-to-end metric in BENCHMARK.json it prints each side's median
 and quartiles, the median of the per-pair ratios HEAD/BASE with a bootstrap
-95% interval, and HEAD's wins out of the pairs, judged by the metric's
-`better` direction. It exits 1 if any run fails or reports
-"correct": false.
+95% interval, HEAD's wins out of the pairs, judged by the metric's
+`better` direction, and one verdict:
+
+  gain        HEAD wins at least nine tenths of the pairs, and its median
+              beats BASE's by more than BASE's interquartile range;
+  worse       the ratio's 95% interval lies wholly beyond the metric's
+              BENCHMARK.json bound in its worse direction (below 1 - bound
+              for higher-is-better, above 1 + bound for lower-is-better);
+  unresolved  anything else.
+
+It exits 1 if any run fails or reports "correct": false, or if any metric
+is `worse`.
 
 Runs are not pinned to cores: a workload may use more than one (a warm
 score captures its two vibration channels on two threads), and pinning it
@@ -88,16 +97,32 @@ def summarize(pairs, metrics):
             "wins": wins,
             "pairs": len(kept),
             "better": spec["better"],
+            "bound": spec["bound"],
         }
+        out[name]["verdict"] = verdict(out[name])
     return out
 
 
+def verdict(s):
+    """`gain`, `worse` or `unresolved` for one metric's statistics."""
+    higher = s["better"] == "higher"
+    q1, base, q3 = s["base"]
+    head = s["head"][1]
+    gap = head - base if higher else base - head
+    if 10 * s["wins"] >= 9 * s["pairs"] and gap > q3 - q1:
+        return "gain"
+    lo, hi = s["interval"]
+    if (hi < 1.0 - s["bound"]) if higher else (lo > 1.0 + s["bound"]):
+        return "worse"
+    return "unresolved"
+
+
 def format_summary(workload, stats):
-    row = "{:<16} {:<28} {:<28} {:<24} {}"
+    row = "{:<16} {:<28} {:<28} {:<24} {:<30} {}"
     lines = [f"== {workload}",
              row.format("metric", "base median [q1, q3]",
                         "head median [q1, q3]", "head/base [95% CI]",
-                        "head wins")]
+                        "head wins", "verdict")]
     for name, s in stats.items():
         b, h = s["base"], s["head"]
         lo, hi = s["interval"]
@@ -105,7 +130,8 @@ def format_summary(workload, stats):
             name, f"{b[1]:.4g} [{b[0]:.4g}, {b[2]:.4g}]",
             f"{h[1]:.4g} [{h[0]:.4g}, {h[2]:.4g}]",
             f"{s['ratio']:.3f} [{lo:.3f}, {hi:.3f}]",
-            f"{s['wins']}/{s['pairs']} ({s['better']} is better)"))
+            f"{s['wins']}/{s['pairs']} ({s['better']} is better)",
+            s["verdict"]))
     return "\n".join(lines)
 
 
@@ -146,9 +172,9 @@ def run_once(copy, workload, seed, seconds):
 
 def self_test():
     """Checks the statistics on canned results."""
-    metrics = [{"name": "verdicts_per_s", "better": "higher"},
-               {"name": "verdict_ms_p50", "better": "lower"},
-               {"name": "auc", "better": "higher"}]
+    metrics = [{"name": "verdicts_per_s", "better": "higher", "bound": 0.25},
+               {"name": "verdict_ms_p50", "better": "lower", "bound": 0.25},
+               {"name": "auc", "better": "higher", "bound": 0.1}]
     pairs = [({"verdicts_per_s": 100.0 + i, "verdict_ms_p50": 5.0,
                "auc": 0.9},
               {"verdicts_per_s": 130.0 + i, "verdict_ms_p50": 4.0 + 0.1 * i,
@@ -183,6 +209,37 @@ def self_test():
     missing = summarize([({"auc": 0.9}, {})], metrics)
     checks.append(("missing metric drops the pair", missing == {}))
     checks.append(("quantile of one value", quantile([3.0], 0.25) == 3.0))
+
+    # Verdicts.
+    checks.append(("gain, higher is better", v["verdict"] == "gain"))
+    checks.append(("gain, lower is better", p50["verdict"] == "gain"))
+    checks.append(("ties are unresolved", auc["verdict"] == "unresolved"))
+    spread = [({"verdicts_per_s": 100.0 + 10 * i}, {"verdicts_per_s":
+                                                      103.0 + 10 * i})
+              for i in range(10)]
+    wide = summarize(spread, metrics)["verdicts_per_s"]
+    checks.append(("a gap inside the base IQR is no gain",
+                   wide["wins"] == 10 and wide["verdict"] == "unresolved"))
+    eight = [({"verdicts_per_s": 100.0}, {"verdicts_per_s":
+                                          150.0 if i < 8 else 99.0})
+             for i in range(10)]
+    checks.append(("8 wins of 10 are no gain",
+                   summarize(eight, metrics)["verdicts_per_s"]["verdict"]
+                   == "unresolved"))
+    slow = [({"verdicts_per_s": 100.0 + i, "verdict_ms_p50": 5.0},
+             {"verdicts_per_s": 60.0 + i, "verdict_ms_p50": 7.0 + 0.1 * i})
+            for i in range(10)]
+    slow_stats = summarize(slow, metrics)
+    checks.append(("worse, higher is better",
+                   slow_stats["verdicts_per_s"]["verdict"] == "worse"))
+    checks.append(("worse, lower is better",
+                   slow_stats["verdict_ms_p50"]["verdict"] == "worse"))
+    # 20% slower sits inside the 25% bound: not provably worse.
+    mild = [({"verdicts_per_s": 100.0 + i}, {"verdicts_per_s": 80.0 + i})
+            for i in range(10)]
+    checks.append(("a loss inside the bound is unresolved",
+                   summarize(mild, metrics)["verdicts_per_s"]["verdict"]
+                   == "unresolved"))
     failed = [name for name, ok in checks if not ok]
     for name, ok in checks:
         print(f"{'ok  ' if ok else 'FAIL'} {name}")
@@ -253,15 +310,21 @@ def main(argv):
 
     print(f"# {args.base} (base) vs {args.head} (head), seed {args.seed}, "
           f"{seconds:g} s runs, {args.pairs} pairs, nproc {os.cpu_count()}")
+    worse = []
     for workload, pairs in runs.items():
-        print(format_summary(workload, summarize(pairs, metrics)))
+        stats = summarize(pairs, metrics)
+        print(format_summary(workload, stats))
+        worse += [f"{workload} {name}" for name, s in stats.items()
+                  if s["verdict"] == "worse"]
+    for item in worse:
+        print(f"worse: {item}", file=sys.stderr)
     if args.out:
         with open(args.out, "w") as f:
             json.dump({"base": args.base, "head": args.head,
                        "seed": args.seed, "seconds": seconds,
                        "runs": {w: [{"base": b, "head": h} for b, h in p]
                                 for w, p in runs.items()}}, f, indent=1)
-    return 0 if correct else 1
+    return 0 if correct and not worse else 1
 
 
 if __name__ == "__main__":

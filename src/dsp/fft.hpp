@@ -6,8 +6,9 @@
 // the representation used throughout the paper's figures.
 //
 // All entry points run on cached per-size plans (see fft_plan.hpp): the
-// bit-reversal table, per-stage twiddles and Bluestein chirp spectra are
-// computed once per (thread, size) instead of on every call.
+// per-stage twiddles, the bit-reversal table of small sizes and the
+// Bluestein chirp spectra are computed once per size for the whole process,
+// and shared by every thread, instead of on every call.
 #pragma once
 
 #include <complex>

@@ -1,20 +1,31 @@
 // Reusable FFT plans.
 //
 // An FftPlan precomputes everything about a transform size that the naive
-// path recomputes on every call: the bit-reversal permutation, per-stage
-// twiddle factors, and — for non-power-of-two sizes — the Bluestein chirp
-// sequence and the spectrum of its convolution kernel. Plans also provide a
-// real-input transform (rfft) that computes an even-N real FFT through an
-// N/2-point complex one, roughly halving the work of every
-// magnitude/power-spectrum call.
+// path recomputes on every call: per-stage twiddle factors, the
+// bit-reversal swap pairs of sizes below 4096 points, and — for
+// non-power-of-two sizes — the Bluestein chirp sequence and the spectrum of
+// its convolution kernel. Plans also provide a real-input transform (rfft)
+// that computes an even-N real FFT through an N/2-point complex one,
+// roughly halving the work of every magnitude/power-spectrum call.
+//
+// Every radix-2 transform (and so every Bluestein one) saves memory passes
+// without changing a butterfly: from 4096 points up it reverses its index
+// bits by exchanging 16x16 tiles through a stack buffer, so each access is
+// a run of 16 contiguous points, and it runs the stages up to len = 1024
+// on one 1024-point block at a time before the larger stages run over the
+// whole buffer. Below 4096 points the swap table is faster (the buffer fits
+// in L1). Both thresholds and their measurements are in fft_plan.cpp and in
+// README "Performance".
 //
 // A plan is immutable once built, so get_plan keeps one per size for the
 // whole process, in one locked map: every thread that runs a size shares
-// its plan. The buffers a transform writes are per-thread scratch. The radix-2 tables depend only
-// on the power-of-two size a plan runs, so plans that run one size share
-// one copy of them too. A non-power-of-two plan builds its Bluestein chirp
-// and kernel on its first transform(), so an even size used only for real
-// transforms, which run through its half plan, never builds them.
+// its plan. The buffers a transform writes are per-thread scratch, and
+// the tile buffer of the bit reversal is on the calling thread's stack.
+// The radix-2 tables depend only on the power-of-two size a plan runs, so
+// plans that run one size share one copy of them too. A non-power-of-two
+// plan builds its Bluestein chirp and kernel on its first transform(), so
+// an even size used only for real transforms, which run through its half
+// plan, never builds them.
 #pragma once
 
 #include <complex>

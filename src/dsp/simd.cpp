@@ -61,13 +61,13 @@ void fft_stage2_4(Complex* d, std::size_t n, bool inverse) {
   }
 }
 
-void fft_stages(Complex* d, std::size_t n, const Complex* tw, bool inverse) {
-  for (std::size_t len = 8; len <= n; len <<= 1) {
+void fft_stages(Complex* d, std::size_t n, std::size_t first_len,
+                const Complex* tw, bool inverse) {
+  for (std::size_t len = first_len; len <= n; len <<= 1) {
     const std::size_t half = len / 2;
     for (std::size_t i = 0; i < n; i += len) {
-      butterfly_stage(d + i, d + i + half, tw, half, inverse);
+      butterfly_stage(d + i, d + i + half, tw + (half - 4), half, inverse);
     }
-    tw += half;
   }
 }
 

@@ -81,13 +81,15 @@ struct Ops {
   /// reduce to adds/subs and a re/im swap). n must be a power of two.
   void (*fft_stage2_4)(Complex* d, std::size_t n, bool inverse);
 
-  /// All remaining radix-2 stages (len = 8 .. n) over the whole buffer.
-  /// `tw` is the plan's twiddle table laid out stage-major: half entries for
-  /// len = 8 first, then len = 16, and so on (n - 4 entries total). One
-  /// dispatch call per transform instead of one per butterfly block — the
-  /// per-block loop runs inside the kernel so the butterfly inlines.
-  void (*fft_stages)(Complex* d, std::size_t n, const Complex* tw,
-                     bool inverse);
+  /// The table-twiddle radix-2 stages len = first_len, 2 * first_len, ...,
+  /// n over an n-point buffer (none if first_len > n); first_len is a power
+  /// of two >= 8. `tw` is a twiddle table laid out stage-major from len = 8:
+  /// stage len's len/2 entries start at tw[len/2 - 4], so the table of any
+  /// larger size serves too. The per-block loop runs inside the kernel so
+  /// the butterfly inlines; run_pow2 calls it once per cache block for the
+  /// early stages and once over the whole buffer for the rest.
+  void (*fft_stages)(Complex* d, std::size_t n, std::size_t first_len,
+                     const Complex* tw, bool inverse);
 
   /// out[i] = a[i] * b[i] (textbook complex product; out may alias a).
   void (*complex_multiply_to)(Complex* out, const Complex* a, const Complex* b,
@@ -184,7 +186,8 @@ void multiply(const double* a, const double* b, double* out, std::size_t n);
 void butterfly_stage(Complex* lo, Complex* hi, const Complex* tw,
                      std::size_t half, bool inverse);
 void fft_stage2_4(Complex* d, std::size_t n, bool inverse);
-void fft_stages(Complex* d, std::size_t n, const Complex* tw, bool inverse);
+void fft_stages(Complex* d, std::size_t n, std::size_t first_len,
+                const Complex* tw, bool inverse);
 void complex_multiply_to(Complex* out, const Complex* a, const Complex* b,
                          std::size_t n);
 void rfft_split_power(const Complex* z, const Complex* rtw, std::size_t h,

@@ -87,20 +87,22 @@ void butterfly_stage(Complex* lo, Complex* hi, const Complex* tw,
   }
 }
 
-void fft_stages(Complex* d, std::size_t n, const Complex* tw, bool inverse) {
+void fft_stages(Complex* d, std::size_t n, std::size_t first_len,
+                const Complex* tw, bool inverse) {
   // Stages run fused in pairs (radix-2^2 blocking): stage `len` and stage
   // `2*len` butterflies are computed in registers before storing, halving
   // the memory round-trips. Per element this is exactly the scalar
   // arithmetic in the scalar stage order — only the intermediate store/load
   // between the two stages is elided — so the result stays bit-identical.
   const __m256d cm = conj_mask();
-  std::size_t len = 8;
+  std::size_t len = first_len;
   while (len <= n) {
     const std::size_t half = len / 2;
+    const Complex* stw = tw + (half - 4);  // this stage's twiddles
     if (2 * len <= n) {
       const std::size_t len2 = 2 * len;
-      const double* ptw1 = reinterpret_cast<const double*>(tw);
-      const double* ptw2 = reinterpret_cast<const double*>(tw + half);
+      const double* ptw1 = reinterpret_cast<const double*>(stw);
+      const double* ptw2 = reinterpret_cast<const double*>(stw + half);
       for (std::size_t i = 0; i < n; i += len2) {
         double* p = reinterpret_cast<double*>(d + i);
         // half >= 4 and a power of two here, so the j loop has no tail.
@@ -133,13 +135,11 @@ void fft_stages(Complex* d, std::size_t n, const Complex* tw, bool inverse) {
           _mm256_storeu_pd(p + 2 * (j + len + half), _mm256_sub_pd(a1, v1));
         }
       }
-      tw += half + len;
       len <<= 2;
     } else {
       for (std::size_t i = 0; i < n; i += len) {
-        butterfly_stage(d + i, d + i + half, tw, half, inverse);
+        butterfly_stage(d + i, d + i + half, stw, half, inverse);
       }
-      tw += half;
       len <<= 1;
     }
   }

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <ios>
 #include <numbers>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -141,38 +142,93 @@ TEST_P(FftSizeTest, InPlaceMagnitudeMatchesAllocatingOverload) {
   }
 }
 
-// Bluestein spectra pinned bit for bit at the scalar SIMD level: a
-// forward and inverse complex transform of a length that is not a power of
-// two, and the power spectrum of an even command-like length (whose half
-// plan is itself Bluestein). Sharing tables or buffers between plans must
-// not move a bit.
-TEST(FftTest, BluesteinSpectrumBitsArePinned) {
-  const simd::Level prev = simd::active_level();
-  ASSERT_TRUE(simd::set_level(simd::Level::kScalar));
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](double x) {
+// FNV-1a over the bytes of a stream of doubles: one 64-bit value pins every
+// bit of a spectrum.
+class BitHash {
+ public:
+  void mix(double x) {
     const auto word = std::bit_cast<std::uint64_t>(x);
     for (int byte = 0; byte < 8; ++byte) {
-      h ^= (word >> (8 * byte)) & 0xffu;
-      h *= 0x100000001b3ull;
+      h_ ^= (word >> (8 * byte)) & 0xffu;
+      h_ *= 0x100000001b3ull;
     }
-  };
-  Rng rng(20261016);
-  std::vector<Complex> x(1000);
-  for (auto& v : x) v = Complex(rng.gaussian(), rng.gaussian());
-  const FftPlan complex_plan(x.size());
-  complex_plan.transform(x, false);
-  for (const Complex& v : x) mix(v.real()), mix(v.imag());
-  complex_plan.transform(x, true);
-  for (const Complex& v : x) mix(v.real()), mix(v.imag());
+  }
+  void mix(std::span<const Complex> xs) {
+    for (const Complex& v : xs) mix(v.real()), mix(v.imag());
+  }
+  std::uint64_t value() const { return h_; }
 
-  std::vector<double> real(18998);
-  for (double& v : real) v = rng.gaussian();
-  std::vector<double> power(real.size() / 2 + 1);
-  get_plan(real.size()).power(real, power);
-  for (const double v : power) mix(v);
-  simd::set_level(prev);
-  EXPECT_EQ(h, 0x638d130cb054693cull) << "spectrum hash is 0x" << std::hex << h;
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+// Restores the dispatch level active at construction time.
+class LevelGuard {
+ public:
+  LevelGuard() : prev_(simd::active_level()) {}
+  ~LevelGuard() { simd::set_level(prev_); }
+
+ private:
+  simd::Level prev_;
+};
+
+// Radix-2 spectra pinned bit for bit: the forward and inverse transforms of
+// one fixed-seed complex input at every power of two from 2 to 2^17. FFT
+// outputs do not depend on the dispatch level (DESIGN.md §5e), so one hash
+// holds at every level. Reordering how a transform moves its data must not
+// move a bit.
+TEST(FftTest, Pow2BitsArePinned) {
+  constexpr std::size_t kMaxLog2 = 17;
+  Rng rng(20261017);
+  std::vector<Complex> input(std::size_t{1} << kMaxLog2);
+  for (auto& v : input) v = Complex(rng.gaussian(), rng.gaussian());
+  LevelGuard guard;
+  for (const simd::Level level : simd::available_levels()) {
+    ASSERT_TRUE(simd::set_level(level));
+    BitHash h;
+    for (std::size_t log2 = 1; log2 <= kMaxLog2; ++log2) {
+      std::vector<Complex> x(input.begin(),
+                             input.begin() + (std::ptrdiff_t{1} << log2));
+      const FftPlan& plan = get_plan(x.size());
+      plan.transform(x, false);
+      h.mix(x);
+      plan.transform(x, true);
+      h.mix(x);
+    }
+    EXPECT_EQ(h.value(), 0x99705df9d115145dull)
+        << simd::level_name(level) << ": spectrum hash is 0x" << std::hex
+        << h.value();
+  }
+}
+
+// Bluestein spectra pinned bit for bit at every dispatch level: a forward
+// and inverse complex transform of a length that is not a power of two,
+// and the power spectrum of an even command-like length (whose half plan
+// is itself Bluestein). Sharing tables or buffers between plans must not
+// move a bit.
+TEST(FftTest, BluesteinSpectrumBitsArePinned) {
+  LevelGuard guard;
+  for (const simd::Level level : simd::available_levels()) {
+    ASSERT_TRUE(simd::set_level(level));
+    BitHash h;
+    Rng rng(20261016);
+    std::vector<Complex> x(1000);
+    for (auto& v : x) v = Complex(rng.gaussian(), rng.gaussian());
+    const FftPlan complex_plan(x.size());
+    complex_plan.transform(x, false);
+    h.mix(x);
+    complex_plan.transform(x, true);
+    h.mix(x);
+
+    std::vector<double> real(18998);
+    for (double& v : real) v = rng.gaussian();
+    std::vector<double> power(real.size() / 2 + 1);
+    get_plan(real.size()).power(real, power);
+    for (const double v : power) h.mix(v);
+    EXPECT_EQ(h.value(), 0x638d130cb054693cull)
+        << simd::level_name(level) << ": spectrum hash is 0x" << std::hex
+        << h.value();
+  }
 }
 
 TEST(FftTest, PlansAreSharedAcrossThreads) {
@@ -187,12 +243,14 @@ TEST(FftTest, PlansAreSharedAcrossThreads) {
 }
 
 TEST(FftTest, SharedPlanIsBitIdenticalUnderConcurrency) {
-  // Odd (Bluestein), even with a Bluestein half plan, and power of two.
-  // Each plan is fresh, so its lazy Bluestein tables — the even size's
-  // top-level ones included — are first built by the racing transform()s.
+  // Odd (Bluestein), even with a Bluestein half plan, and powers of two
+  // below and above the tiled bit reversal's threshold (8192 also runs
+  // blocked stages, and its 4096-point half plan is tiled too). Each plan
+  // is fresh, so its lazy Bluestein tables — the even size's top-level ones
+  // included — are first built by the racing transform()s.
   const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
   for (const std::size_t n : {std::size_t{999}, std::size_t{1000},
-                              std::size_t{1024}}) {
+                              std::size_t{1024}, std::size_t{8192}}) {
     SCOPED_TRACE(n);
     Rng rng(n);
     std::vector<double> real(n);

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -160,22 +162,38 @@ TEST(SimdKernelTest, FftStagesBitIdenticalAcrossLevels) {
   LevelGuard guard;
   // The kernel treats the stage-major twiddle table generically, so random
   // complex values in place of unit roots still exercise it fully. The table
-  // holds n - 4 entries (half = 4, 8, ..., n/2).
-  for (std::size_t n : {8u, 16u, 64u, 256u, 1024u}) {
+  // holds n - 4 entries (half = 4, 8, ..., n/2). A first stage above 8 is
+  // how a transform runs its stages past a cache block, and it starts the
+  // radix-2^2 pairing at that stage (an odd count of stages leaves the AVX2
+  // kernel one unpaired stage); a first stage above n runs none.
+  struct Case {
+    std::size_t n;
+    std::size_t first_len;
+  };
+  const Case cases[] = {{8, 8},       {16, 8},      {64, 8},
+                        {256, 8},     {1024, 8},    {16, 16},
+                        {256, 32},    {1024, 64},   {2048, 2048},
+                        {4096, 2048}, {8192, 2048}, {512, 1024}};
+  for (const Case& c : cases) {
     for (bool inverse : {false, true}) {
-      const auto d0 = random_complex(rng, n);
-      const auto tw = random_complex(rng, n - 4);
+      const auto d0 = random_complex(rng, c.n);
+      const auto tw = random_complex(rng, c.n - 4);
       auto ref = d0;
-      scalar::fft_stages(ref.data(), n, tw.data(), inverse);
+      scalar::fft_stages(ref.data(), c.n, c.first_len, tw.data(), inverse);
       for (Level level : available_levels()) {
         ASSERT_TRUE(set_level(level));
         auto got = d0;
-        ops().fft_stages(got.data(), n, tw.data(), inverse);
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(got[i].real(), ref[i].real())
-              << level_name(level) << " n=" << n << " inverse=" << inverse
+        ops().fft_stages(got.data(), c.n, c.first_len, tw.data(), inverse);
+        // Bits, not values: a -0.0 must not pass for a +0.0.
+        const auto bits = [](double x) {
+          return std::bit_cast<std::uint64_t>(x);
+        };
+        for (std::size_t i = 0; i < c.n; ++i) {
+          EXPECT_EQ(bits(got[i].real()), bits(ref[i].real()))
+              << level_name(level) << " n=" << c.n
+              << " first_len=" << c.first_len << " inverse=" << inverse
               << " i=" << i;
-          EXPECT_EQ(got[i].imag(), ref[i].imag());
+          EXPECT_EQ(bits(got[i].imag()), bits(ref[i].imag()));
         }
       }
     }

@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <span>
 #include <vector>
 
 #include "attacks/attack.hpp"
@@ -52,6 +55,29 @@ void expect_complex_near(std::span<const dsp::Complex> got,
     EXPECT_NEAR(got[i].real(), want[i].real(), tol) << "bin " << i;
     EXPECT_NEAR(got[i].imag(), want[i].imag(), tol) << "bin " << i;
   }
+}
+
+// Exact equality through the bits, so a -0.0 cannot pass for a +0.0.
+// Reports the first differing value and how many differ, not every one.
+void expect_same_bits(std::span<const double> got,
+                      std::span<const double> want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  std::size_t differ = 0;
+  std::size_t first = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(got[i]) !=
+        std::bit_cast<std::uint64_t>(want[i])) {
+      if (differ++ == 0) first = i;
+    }
+  }
+  EXPECT_EQ(differ, 0u) << what << ": first at " << first << " of "
+                        << got.size() << ", " << got[first] << " vs "
+                        << want[first];
+}
+
+// A complex<double> array is array-of-double compatible.
+std::span<const double> as_doubles(std::span<const dsp::Complex> xs) {
+  return {reinterpret_cast<const double*>(xs.data()), 2 * xs.size()};
 }
 
 TEST(FuzzDifferential, FftPlanTransformMatchesNaiveDft) {
@@ -321,7 +347,11 @@ TEST(FuzzDifferential, ComputeRocMatchesBruteForce) {
 // scalar reference: pipelines built purely from elementwise kernels (FFT
 // transforms, planned STFT power, decimate_alias) must agree bit-for-bit;
 // pipelines through the reduction kernels (FIR resample, correlation_2d,
-// MFCC) to ULP-scaled tolerance.
+// MFCC) to ULP-scaled tolerance. Besides a small transform, every trial
+// runs one power of two of 2^9..2^16 points and one Bluestein length of
+// 1000..20000, the sizes scoring runs: they cross the tiled bit reversal
+// and the stage blocking, which small sizes never reach. Each level builds
+// its own Bluestein plan (a local one: get_plan would keep every length).
 TEST(FuzzDifferential, DispatchLevelsMatchScalarReference) {
   const auto levels = dsp::simd::available_levels();
   const dsp::simd::Level entry_level = dsp::simd::active_level();
@@ -336,11 +366,28 @@ TEST(FuzzDifferential, DispatchLevelsMatchScalarReference) {
     Rng rng(seed);
 
     // Shared random inputs for all levels of this trial.
+    const auto random_complex = [&rng](std::size_t n) {
+      std::vector<dsp::Complex> out(n);
+      for (auto& v : out) {
+        v = dsp::Complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+      }
+      return out;
+    };
     const auto fft_n = static_cast<std::size_t>(rng.uniform_int(2, 96));
-    std::vector<dsp::Complex> fft_in(fft_n);
-    for (auto& v : fft_in) {
-      v = dsp::Complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
-    }
+    const std::vector<dsp::Complex> fft_in = random_complex(fft_n);
+    const std::size_t pow2_n = std::size_t{1} << rng.uniform_int(9, 16);
+    const std::vector<dsp::Complex> pow2_in = random_complex(pow2_n);
+    const auto blue_n = static_cast<std::size_t>(rng.uniform_int(1000, 20000));
+    const std::vector<dsp::Complex> blue_in = random_complex(blue_n);
+    // Forward then inverse through one plan of each size.
+    const auto transform_both = [](const dsp::FftPlan& plan,
+                                   std::vector<dsp::Complex> x) {
+      plan.transform(x, false);
+      std::vector<dsp::Complex> out = x;
+      plan.transform(x, true);
+      out.insert(out.end(), x.begin(), x.end());
+      return out;
+    };
     const auto ws = static_cast<std::size_t>(rng.uniform_int(4, 64));
     const auto hop = static_cast<std::size_t>(
         rng.uniform_int(1, static_cast<std::int64_t>(ws)));
@@ -373,6 +420,8 @@ TEST(FuzzDifferential, DispatchLevelsMatchScalarReference) {
     ASSERT_TRUE(dsp::simd::set_level(dsp::simd::Level::kScalar));
     std::vector<dsp::Complex> fft_ref = fft_in;
     dsp::get_plan(fft_n).transform(fft_ref, false);
+    const auto pow2_ref = transform_both(dsp::get_plan(pow2_n), pow2_in);
+    const auto blue_ref = transform_both(dsp::FftPlan(blue_n), blue_in);
     dsp::Spectrogram stft_ref;
     dsp::stft_power_into(stft_sig, ws, hop, stft_ref);
     const Signal deci_ref = dsp::decimate_alias(deci_sig, deci_target);
@@ -388,24 +437,20 @@ TEST(FuzzDifferential, DispatchLevelsMatchScalarReference) {
       // Elementwise-kernel pipelines: bit-identical.
       std::vector<dsp::Complex> fft_got = fft_in;
       dsp::get_plan(fft_n).transform(fft_got, false);
-      for (std::size_t i = 0; i < fft_n; ++i) {
-        EXPECT_EQ(fft_got[i].real(), fft_ref[i].real()) << "bin " << i;
-        EXPECT_EQ(fft_got[i].imag(), fft_ref[i].imag()) << "bin " << i;
-      }
+      expect_same_bits(as_doubles(fft_got), as_doubles(fft_ref), "small fft");
+      expect_same_bits(
+          as_doubles(transform_both(dsp::get_plan(pow2_n), pow2_in)),
+          as_doubles(pow2_ref), "power-of-two fft");
+      expect_same_bits(
+          as_doubles(transform_both(dsp::FftPlan(blue_n), blue_in)),
+          as_doubles(blue_ref), "Bluestein fft");
       dsp::Spectrogram stft_got;
       dsp::stft_power_into(stft_sig, ws, hop, stft_got);
       ASSERT_EQ(stft_got.frames(), stft_ref.frames());
-      for (std::size_t f = 0; f < stft_got.frames(); ++f) {
-        for (std::size_t b = 0; b < stft_got.bins(); ++b) {
-          EXPECT_EQ(stft_got.at(f, b), stft_ref.at(f, b))
-              << "frame " << f << " bin " << b;
-        }
-      }
+      expect_same_bits(stft_got.values(), stft_ref.values(), "stft power");
       const Signal deci_got = dsp::decimate_alias(deci_sig, deci_target);
-      ASSERT_EQ(deci_got.size(), deci_ref.size());
-      for (std::size_t i = 0; i < deci_got.size(); ++i) {
-        EXPECT_EQ(deci_got[i], deci_ref[i]) << "sample " << i;
-      }
+      expect_same_bits(deci_got.samples(), deci_ref.samples(),
+                       "decimate_alias");
 
       // Reduction-kernel pipelines: ULP-scaled tolerance.
       const Signal rs_got = dsp::resample(rs_sig, rs_target);
