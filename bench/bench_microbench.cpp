@@ -17,7 +17,6 @@
 #include "dsp/stft.hpp"
 #include "eval/experiment.hpp"
 #include "eval/scenario.hpp"
-#include "serving/shard.hpp"
 #include "speech/command.hpp"
 #include "speech/speaker.hpp"
 
@@ -274,42 +273,6 @@ BENCHMARK_CAPTURE(BM_RenderTrial, legit, false)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_RenderTrial, replay, true)
     ->Unit(benchmark::kMillisecond);
-
-void BM_ShardSteal(benchmark::State& state) {
-  // Full victim→thief migration of one batch: steal_batch pops the FIFO
-  // head under the victim's lock (releasing tenant charges), steal_in
-  // re-admits each item under the thief's quota. This is the per-poll
-  // cost the supervisor's steal rung pays, so it must stay far below the
-  // poll period.
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  VirtualClock clock;
-  serving::ShardConfig cfg;
-  cfg.queue_capacity = 256;
-  cfg.batch_max = batch;
-  cfg.batch_window_us = 0;
-  serving::Shard victim(cfg, clock);
-  serving::Shard thief(cfg, clock);
-  std::vector<serving::WorkItem> stolen;
-  std::vector<serving::WorkItem> expired;
-  std::vector<serving::WorkItem> drain;
-  serving::WorkItem item;
-  std::uint64_t id = 0;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < batch; ++i) {
-      item.request_id = id++;
-      victim.submit(item);
-    }
-    stolen.clear();
-    expired.clear();
-    victim.steal_batch(stolen, expired, batch);
-    for (serving::WorkItem& w : stolen) thief.steal_in(w);
-    // Empty the thief so the queues stay at steady-state depth.
-    drain.clear();
-    benchmark::DoNotOptimize(thief.form_batch(drain, /*force=*/true));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_ShardSteal)->Arg(1)->Arg(8);
 
 }  // namespace
 }  // namespace vibguard

@@ -1,5 +1,5 @@
 // Micro-benchmarks for the sharded serving runtime's data-plane
-// primitives: SessionSlab open/lookup/close churn, MutexRingQueue
+// primitives: SessionSlab open/lookup/close churn, WorkRing
 // push/pop, consistent-hash ring placement, and the shard's
 // submit → form_batch hot path (no pipeline scoring — this is the
 // bookkeeping cost a request pays on top of being scored).
@@ -59,8 +59,8 @@ void BM_SessionSlabLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionSlabLookup)->Arg(1024)->Arg(65536);
 
-void BM_MutexRingQueuePushPop(benchmark::State& state) {
-  MutexRingQueue queue(256);
+void BM_WorkRingPushPop(benchmark::State& state) {
+  WorkRing queue(256);
   WorkItem item;
   WorkItem out;
   for (auto _ : state) {
@@ -70,7 +70,7 @@ void BM_MutexRingQueuePushPop(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MutexRingQueuePushPop);
+BENCHMARK(BM_WorkRingPushPop);
 
 void BM_ConsistentHashRingLookup(benchmark::State& state) {
   const auto workers = static_cast<std::size_t>(state.range(0));

@@ -14,8 +14,6 @@
 //                                          sharded fleet scaling table
 //   vibguard_cli stream-sweep [--attack T] [--room R] [--trials N]
 //                                          early-exit fraction vs EER table
-//   vibguard_cli chaos-sweep [--fleet N] [--rps R] [--trials N]
-//                [--scenario NAME]         fleet resilience under worker faults
 //   vibguard_cli export-audio [DIR]        write demo WAV files
 //
 // All subcommands are deterministic for a fixed --seed (default 42).
@@ -34,7 +32,6 @@
 #include "core/phoneme_selection.hpp"
 #include "core/pipeline.hpp"
 #include "core/session.hpp"
-#include "eval/chaos_sweep.hpp"
 #include "eval/confidence.hpp"
 #include "eval/experiment.hpp"
 #include "eval/fault_sweep.hpp"
@@ -61,10 +58,6 @@ struct Args {
   std::string workers;  ///< CSV worker grid; non-empty = sharded fleet sweep
   std::size_t batch = 4;
   std::uint64_t batch_window_ms = 20;
-  std::size_t fleet = 4;       ///< chaos-sweep worker count
-  std::uint64_t rps = 30;      ///< chaos-sweep offered load
-  std::uint64_t chaos_seed = 0xC4A05;
-  std::string scenario;  ///< chaos-sweep scenario filter; empty = all
   std::string dir = "vibguard_audio";
 };
 
@@ -118,10 +111,6 @@ Args parse(int argc, char** argv) {
     else if (flag == "--workers") args.workers = next();
     else if (flag == "--batch") args.batch = number();
     else if (flag == "--batch-window-ms") args.batch_window_ms = millis();
-    else if (flag == "--fleet") args.fleet = number();
-    else if (flag == "--rps") args.rps = number();
-    else if (flag == "--chaos-seed") args.chaos_seed = number();
-    else if (flag == "--scenario") args.scenario = next();
     else if (flag[0] != '-') args.dir = flag;
     else throw InvalidArgument("unknown flag: " + flag);
   }
@@ -304,38 +293,6 @@ int cmd_load_sweep(const Args& args) {
   return 0;
 }
 
-int cmd_chaos_sweep(const Args& args) {
-  if (args.fleet < 2) {
-    throw InvalidArgument("--fleet must be >= 2 (failover needs a survivor)");
-  }
-  eval::ChaosSweepConfig cfg;
-  cfg.base.scenario.room = acoustics::room_by_name(args.room);
-  cfg.base.attack = attack_by_name(args.attack);
-  cfg.base.legit_trials = args.trials;
-  cfg.base.attack_trials = args.trials;
-  cfg.base.queue_capacity = args.capacity;
-  cfg.base.deadline_us = args.deadline_ms * 1000;
-  cfg.workers = args.fleet;
-  cfg.offered_rps = static_cast<double>(args.rps);
-  cfg.batch_max = args.batch;
-  cfg.batch_window_us = args.batch_window_ms * 1000;
-  cfg.chaos_seed = args.chaos_seed;
-  // An unknown --scenario name throws InvalidArgument inside the sweep,
-  // which main() maps to the usage-error exit code 2.
-  cfg.scenario_filter = args.scenario;
-  const auto result = eval::run_chaos_sweep(cfg, args.seed);
-  std::printf("%s", result.summary().c_str());
-  for (const auto& p : result.points) {
-    if (!p.accounted) {
-      std::fprintf(stderr,
-                   "error: scenario %s lost requests (accounting broke)\n",
-                   p.scenario.c_str());
-      return 1;
-    }
-  }
-  return 0;
-}
-
 int cmd_stream_sweep(const Args& args) {
   eval::StreamSweepConfig cfg;
   cfg.scenario.room = acoustics::room_by_name(args.room);
@@ -378,7 +335,6 @@ void usage() {
       "  attack-study    VA trigger probabilities vs SPL\n"
       "  fault-sweep     EER vs fault severity (robustness curves)\n"
       "  load-sweep      serving rates and EER vs offered load\n"
-      "  chaos-sweep     fleet availability/EER under worker faults\n"
       "  stream-sweep    streaming early-exit fraction vs EER\n"
       "  export-audio    write demo WAV files\n"
       "options: --attack random|replay|synthesis|hidden_voice\n"
@@ -387,9 +343,7 @@ void usage() {
       "         --room A|B|C|D  --trials N  --segments N  --seed S\n"
       "         --capacity N  --deadline-ms N  (load-sweep)\n"
       "         --workers CSV  --batch N  --batch-window-ms N\n"
-      "                 (load-sweep: sharded fleet across the worker grid)\n"
-      "         --fleet N  --rps R  --chaos-seed S  (chaos-sweep)\n"
-      "         --scenario NAME  (chaos-sweep: run one scenario only)\n");
+      "                 (load-sweep: sharded fleet across the worker grid)\n");
 }
 
 }  // namespace
@@ -406,7 +360,6 @@ int main(int argc, char** argv) {
     if (args.command == "attack-study") return cmd_attack_study(args);
     if (args.command == "fault-sweep") return cmd_fault_sweep(args);
     if (args.command == "load-sweep") return cmd_load_sweep(args);
-    if (args.command == "chaos-sweep") return cmd_chaos_sweep(args);
     if (args.command == "stream-sweep") return cmd_stream_sweep(args);
     if (args.command == "export-audio") return cmd_export_audio(args);
     usage();

@@ -21,7 +21,7 @@ OUT_JSON="${2:-${REPO_ROOT}/BENCH_microbench.json}"
 # time the sync and vib_capture stages, which own most of a score;
 # BM_RenderTrial times one trial's render, which experiment runs realize
 # concurrently.
-FILTER="${BENCH_FILTER:-BM_FftPow2|BM_FftBluestein|BM_Rfft|BM_StftPower|BM_StftPlanned|BM_Mfcc|BM_Mel|BM_Resample|BM_Correlation2d|BM_SyncEstimate|BM_CrossDomainCapture|BM_FullPipelineScore|BM_StreamingScore|BM_RenderTrial|BM_ShardSteal}"
+FILTER="${BENCH_FILTER:-BM_FftPow2|BM_FftBluestein|BM_Rfft|BM_StftPower|BM_StftPlanned|BM_Mfcc|BM_Mel|BM_Resample|BM_Correlation2d|BM_SyncEstimate|BM_CrossDomainCapture|BM_FullPipelineScore|BM_StreamingScore|BM_RenderTrial}"
 
 if [[ ! -f "${BUILD_DIR}/CMakeCache.txt" ]]; then
   cmake -S "${REPO_ROOT}" -B "${BUILD_DIR}" -DCMAKE_BUILD_TYPE=Release \

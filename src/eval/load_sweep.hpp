@@ -3,17 +3,19 @@
 // Renders one fixed population of legitimate and attack trials, then — for
 // each worker count and offered arrival rate — replays the population as a
 // Poisson request stream through a sharded serving::Server on a
-// VirtualClock (eval/chaos_sweep.hpp's replay_fleet with no faults). The
-// server brings the whole overload toolkit: bounded per-shard queues with
-// reject-on-full backpressure, a per-request deadline budget with
-// cooperative cancellation, and per-shard circuit breakers that route
-// batches to the cheap degraded DefenseMode while the primary pipeline is
-// saturated. One worker with micro-batching off (batch_max 1, no window,
-// no setup cost) is the single serving node. Service times are modeled
-// (virtual microseconds; nothing ever sleeps), while the scores come from
-// the real pipeline, so each row reports both the serving-side rates
-// (accept / reject / deadline-miss / degraded) and the detection quality
-// (EER) of whatever the fleet actually answered at that load.
+// VirtualClock, in one fault-free discrete-event loop private to
+// load_sweep.cpp. The server brings the whole overload toolkit: bounded
+// per-shard queues with reject-on-full backpressure, a per-request
+// deadline budget with cooperative cancellation, and per-shard circuit
+// breakers that route batches to the cheap degraded DefenseMode while the
+// primary pipeline is saturated. One worker with micro-batching off
+// (batch_max 1, no window, no setup cost) is the single serving node.
+// Service times are modeled (virtual microseconds; nothing ever sleeps),
+// while the scores come from the real pipeline, so each row reports both
+// the serving-side rates (accept / reject / deadline-miss / degraded) and
+// the detection quality (EER) of whatever the fleet actually answered at
+// that load. Without faults the loop always drains: however long the
+// backlog or the batch window, every arrival ends in exactly one bucket.
 #pragma once
 
 #include <cstdint>
@@ -84,8 +86,6 @@ struct FleetSweepConfig {
   /// Fixed per-batch overhead (virtual us) before the first item serves —
   /// what batching amortizes: per-item cost stays, setup is paid once.
   std::uint64_t batch_setup_us = 10'000;
-
-  std::size_t ring_replicas = 64;
 };
 
 /// One (workers, offered load) grid cell.

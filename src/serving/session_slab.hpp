@@ -76,8 +76,8 @@ class SessionSlab {
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return slots_.size(); }
 
-  /// Handles of every live slot, in slot order (deterministic — session
-  /// migration iterates this). O(capacity); control-plane only.
+  /// Handles of every live slot, in slot order (deterministic).
+  /// O(capacity); control-plane only.
   std::vector<SessionHandle> handles() const;
 
   /// Drops every record and invalidates every handle; capacity retained.

@@ -22,26 +22,20 @@ const char* submit_status_name(SubmitStatus status) {
     case SubmitStatus::kRejectedQueueFull: return "rejected_queue_full";
     case SubmitStatus::kRejectedTenantQuota: return "rejected_tenant_quota";
     case SubmitStatus::kStaleSession: return "stale_session";
-    case SubmitStatus::kRejectedClosed: return "rejected_closed";
   }
   VIBGUARD_UNREACHABLE();
 }
 
-MutexRingQueue::MutexRingQueue(std::size_t capacity) : ring_(capacity) {}
+WorkRing::WorkRing(std::size_t capacity) : ring_(capacity) {}
 
-bool MutexRingQueue::try_push(const WorkItem& item) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_ || count_ >= ring_.size()) return false;
-    ring_[(head_ + count_) % ring_.size()] = item;
-    ++count_;
-  }
-  cv_.notify_one();
+bool WorkRing::try_push(const WorkItem& item) {
+  if (count_ >= ring_.size()) return false;
+  ring_[(head_ + count_) % ring_.size()] = item;
+  ++count_;
   return true;
 }
 
-bool MutexRingQueue::try_pop(WorkItem& out) {
-  std::lock_guard<std::mutex> lock(mu_);
+bool WorkRing::try_pop(WorkItem& out) {
   if (count_ == 0) return false;
   out = ring_[head_];
   head_ = (head_ + 1) % ring_.size();
@@ -49,65 +43,18 @@ bool MutexRingQueue::try_pop(WorkItem& out) {
   return true;
 }
 
-bool MutexRingQueue::pop_blocking(WorkItem& out) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return count_ > 0 || closed_; });
-  if (count_ == 0) return false;  // closed and drained
-  out = ring_[head_];
-  head_ = (head_ + 1) % ring_.size();
-  --count_;
-  return true;
-}
-
-void MutexRingQueue::close() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-  }
-  // Wake EVERY parked consumer: each re-checks the predicate and either
-  // drains a remaining item or sees closed-and-empty and returns false.
-  cv_.notify_all();
-}
-
-bool MutexRingQueue::closed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return closed_;
-}
-
-bool MutexRingQueue::try_peek(WorkItem& out) const {
-  std::lock_guard<std::mutex> lock(mu_);
+bool WorkRing::try_peek(WorkItem& out) const {
   if (count_ == 0) return false;
   out = ring_[head_];
   return true;
-}
-
-std::size_t MutexRingQueue::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_;
 }
 
 TenantQuotas::TenantQuotas(std::size_t default_max)
-    : default_max_(default_max) {}
-
-TenantQuotas::State& TenantQuotas::state(std::uint32_t tenant) {
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) {
-    it = tenants_.emplace(tenant, State{default_max_}).first;
-  }
-  return it->second;
-}
-
-void TenantQuotas::set_quota(std::uint32_t tenant, std::size_t max_queued) {
-  state(tenant).max_queued = max_queued;
-}
-
-void TenantQuotas::charge_unchecked(std::uint32_t tenant) {
-  ++state(tenant).queued;
-}
+    : max_queued_(default_max) {}
 
 bool TenantQuotas::try_charge(std::uint32_t tenant) {
-  State& s = state(tenant);
-  if (s.queued >= s.max_queued) {
+  State& s = tenants_[tenant];
+  if (s.queued >= max_queued_) {
     ++s.rejected;
     ++total_rejected_;
     return false;
@@ -117,7 +64,7 @@ bool TenantQuotas::try_charge(std::uint32_t tenant) {
 }
 
 void TenantQuotas::release(std::uint32_t tenant) {
-  State& s = state(tenant);
+  State& s = tenants_[tenant];
   if (s.queued > 0) --s.queued;
 }
 
@@ -131,67 +78,25 @@ std::uint64_t TenantQuotas::rejected(std::uint32_t tenant) const {
   return it != tenants_.end() ? it->second.rejected : 0;
 }
 
-namespace {
-
-/// The ring's total order: worker index breaks hash ties so the map is
-/// identical on every platform and independent of insertion history.
-bool point_less(const ConsistentHashRing::Point& a,
-                const ConsistentHashRing::Point& b) {
-  return a.hash != b.hash ? a.hash < b.hash : a.worker < b.worker;
-}
-
-}  // namespace
-
 ConsistentHashRing::ConsistentHashRing(std::size_t workers,
-                                       std::size_t replicas)
-    : replicas_(replicas) {
+                                       std::size_t replicas) {
   VIBGUARD_REQUIRE(workers > 0, "ring needs at least one worker");
+  VIBGUARD_REQUIRE(workers < UINT32_MAX, "worker count out of range");
   VIBGUARD_REQUIRE(replicas > 0, "ring needs at least one replica");
   points_.reserve(workers * replicas);
   for (std::size_t w = 0; w < workers; ++w) {
-    add_worker(w);
+    for (std::size_t r = 0; r < replicas; ++r) {
+      points_.push_back({mix64((static_cast<std::uint64_t>(w) << 32) |
+                               static_cast<std::uint64_t>(r)),
+                         static_cast<std::uint32_t>(w)});
+    }
   }
-}
-
-bool ConsistentHashRing::contains(std::size_t worker) const {
-  return std::binary_search(active_.begin(), active_.end(),
-                            static_cast<std::uint32_t>(worker));
-}
-
-std::vector<std::size_t> ConsistentHashRing::active_workers() const {
-  return std::vector<std::size_t>(active_.begin(), active_.end());
-}
-
-void ConsistentHashRing::add_worker(std::size_t w) {
-  VIBGUARD_REQUIRE(w < UINT32_MAX, "worker index out of range");
-  VIBGUARD_REQUIRE(!contains(w), "worker already on the ring");
-  // A worker's points depend only on (worker, replica), so a ring grown
-  // or shrunk incrementally is point-for-point identical to one built
-  // fresh with the same active set — resize placement is deterministic.
-  for (std::size_t r = 0; r < replicas_; ++r) {
-    Point p;
-    p.hash = mix64((static_cast<std::uint64_t>(w) << 32) |
-                   static_cast<std::uint64_t>(r));
-    p.worker = static_cast<std::uint32_t>(w);
-    points_.insert(
-        std::upper_bound(points_.begin(), points_.end(), p, point_less), p);
-  }
-  active_.insert(std::upper_bound(active_.begin(), active_.end(),
-                                  static_cast<std::uint32_t>(w)),
-                 static_cast<std::uint32_t>(w));
-}
-
-void ConsistentHashRing::remove_worker(std::size_t w) {
-  VIBGUARD_REQUIRE(contains(w), "worker not on the ring");
-  VIBGUARD_REQUIRE(active_.size() > 1, "cannot remove the last worker");
-  points_.erase(std::remove_if(points_.begin(), points_.end(),
-                               [w](const Point& p) {
-                                 return p.worker ==
-                                        static_cast<std::uint32_t>(w);
-                               }),
-                points_.end());
-  active_.erase(std::find(active_.begin(), active_.end(),
-                          static_cast<std::uint32_t>(w)));
+  // The worker index breaks hash ties, so the order — and with it the
+  // placement — is identical on every platform.
+  std::sort(points_.begin(), points_.end(),
+            [](const Point& a, const Point& b) {
+              return a.hash != b.hash ? a.hash < b.hash : a.worker < b.worker;
+            });
 }
 
 std::size_t ConsistentHashRing::worker_for(std::uint64_t h) const {
@@ -205,29 +110,22 @@ std::size_t ConsistentHashRing::worker_for(std::uint64_t h) const {
 Shard::Shard(ShardConfig config, const Clock& clock)
     : config_(config),
       clock_(&clock),
-      queue_(std::make_unique<MutexRingQueue>(config.queue_capacity)),
+      queue_(config.queue_capacity),
       quotas_(config.tenant_max_queued) {
   VIBGUARD_REQUIRE(config_.batch_max > 0, "batch size must be positive");
   if (config_.breaker.has_value()) {
     breaker_.emplace(*config_.breaker, clock);
   }
-  last_beat_us_.store(clock.now_us(), std::memory_order_relaxed);
 }
 
 SubmitStatus Shard::submit(WorkItem item) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (queue_->closed()) {
-    // Retired shard: explicit rejection before any quota charge, so a
-    // racing submit during failover surfaces as backpressure, not a hang.
-    ++stats_.closed_rejected;
-    return SubmitStatus::kRejectedClosed;
-  }
   if (!quotas_.try_charge(item.tenant)) {
     ++stats_.quota_rejected;
     return SubmitStatus::kRejectedTenantQuota;
   }
   item.enqueued_us = clock_->now_us();
-  if (!queue_->try_push(item)) {
+  if (!queue_.try_push(item)) {
     quotas_.release(item.tenant);
     ++stats_.admission.rejected;
     return SubmitStatus::kRejectedQueueFull;
@@ -236,174 +134,55 @@ SubmitStatus Shard::submit(WorkItem item) {
   return SubmitStatus::kQueued;
 }
 
-bool Shard::requeue(const WorkItem& item, bool count_migration) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (queue_->closed()) return false;
-  // enqueued_us is deliberately preserved: the item's queue time spans the
-  // migration, so a re-homed request cannot dodge its batch window or its
-  // deadline accounting by moving shards.
-  if (!queue_->try_push(item)) return false;
-  quotas_.charge_unchecked(item.tenant);
-  if (count_migration) ++stats_.migrated_in;
-  return true;
-}
-
-std::size_t Shard::take_all(std::vector<WorkItem>& out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  WorkItem item;
-  std::size_t taken = 0;
-  while (queue_->try_pop(item)) {
-    quotas_.release(item.tenant);
-    out.push_back(item);
-    ++taken;
-  }
-  return taken;
-}
-
-std::size_t Shard::steal_batch(std::vector<WorkItem>& out,
-                               std::vector<WorkItem>& expired_out,
-                               std::size_t max_items) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t now = clock_->now_us();
-  std::size_t taken = 0;
-  WorkItem item;
-  while (taken < max_items && queue_->try_pop(item)) {
-    quotas_.release(item.tenant);
-    if (item.deadline_at_us <= now) {
-      // Already dead in the victim's queue: not worth moving, but a result
-      // must still be emitted — same contract as form_batch expiry.
-      item.expired_in_queue = true;
-      ++stats_.admission.expired;
-      expired_out.push_back(item);
-      continue;
-    }
-    // enqueued_us is preserved (the thief's steal_in does not restamp), so
-    // the item's eventual queue_us spans both shards.
-    ++stats_.admission.stolen;
-    out.push_back(item);
-    ++taken;
-  }
-  if (taken > 0) ++stats_.steals_out;
-  return taken;
-}
-
-bool Shard::steal_in(const WorkItem& item) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (queue_->closed()) return false;
-  if (!quotas_.try_charge(item.tenant)) return false;
-  if (!queue_->try_push(item)) {
-    quotas_.release(item.tenant);
-    return false;
-  }
-  ++stats_.items_stolen_in;
-  return true;
-}
-
-void Shard::close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  queue_->close();
-}
-
-bool Shard::is_closed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_->closed();
-}
-
-void Shard::beat() { beat(epoch_.load(std::memory_order_relaxed)); }
-
-bool Shard::beat(std::uint64_t epoch) {
-  if (epoch != epoch_.load(std::memory_order_relaxed)) return false;
-  // (epoch, time) write order: a reader racing a concurrent bump can see a
-  // stale epoch with a fresh time (looks un-recovered) or a fresh epoch
-  // with a stale time (looks aged) — both err toward "not recovered".
-  last_beat_epoch_.store(epoch, std::memory_order_relaxed);
-  last_beat_us_.store(clock_->now_us(), std::memory_order_relaxed);
-  beats_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-std::uint64_t Shard::last_beat_us() const {
-  return last_beat_us_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t Shard::beats() const {
-  return beats_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t Shard::epoch() const {
-  return epoch_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t Shard::last_beat_epoch() const {
-  return last_beat_epoch_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t Shard::bump_epoch() {
-  return epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 std::size_t Shard::run_pump(const std::function<bool(bool force)>& drain_once,
-                            const std::atomic<bool>& stop,
-                            const PumpConfig& pump) {
-  VIBGUARD_REQUIRE(pump.idle_poll_us > 0, "pump poll period must be positive");
-  // Beats go through the epoch gate: a bump_epoch() (restart fence) makes
-  // the next beat fail, and this — now stale — pump leaves without touching
-  // the shard again. The replacement pump owns the drainer role.
-  const std::uint64_t my_epoch = epoch();
+                            const std::atomic<bool>& stop) {
   std::size_t batches = 0;
   for (;;) {
-    if (!beat(my_epoch)) return batches;  // fenced: a newer pump took over
     if (stop.load(std::memory_order_acquire)) {
       // Graceful stop: serve everything still queued (forced windows) so a
       // shutdown never strands admitted work, then leave.
-      while (drain_once(/*force=*/true)) {
-        ++batches;
-        if (!beat(my_epoch)) return batches;
-      }
+      while (drain_once(/*force=*/true)) ++batches;
       return batches;
     }
     const auto ready = batch_ready_us();
     if (!ready.has_value()) {
-      if (is_closed()) return batches;  // retired and drained
-      clock_->sleep_us(pump.idle_poll_us);
+      clock_->sleep_us(kPumpIdlePollUs);
       continue;
     }
     const std::uint64_t now = clock_->now_us();
     if (now < *ready) {
-      // Sleep toward the window in bounded slices so stop and close stay
-      // responsive and the heartbeat keeps proving liveness.
-      clock_->sleep_us(std::min(*ready - now, pump.idle_poll_us));
+      // Sleep toward the window in bounded slices so stop stays
+      // responsive.
+      clock_->sleep_us(std::min(*ready - now, kPumpIdlePollUs));
       continue;
     }
     if (drain_once(/*force=*/false)) {
       ++batches;
     } else {
-      clock_->sleep_us(pump.idle_poll_us);
+      clock_->sleep_us(kPumpIdlePollUs);
     }
   }
 }
 
+std::optional<std::uint64_t> Shard::ready_locked() const {
+  WorkItem oldest;
+  if (!queue_.try_peek(oldest)) return std::nullopt;
+  if (queue_.size() >= config_.batch_max) return oldest.enqueued_us;
+  return oldest.enqueued_us + config_.batch_window_us;
+}
+
 std::optional<std::uint64_t> Shard::batch_ready_us() const {
   std::lock_guard<std::mutex> lock(mu_);
-  WorkItem oldest;
-  if (!queue_->try_peek(oldest)) return std::nullopt;
-  if (queue_->size() >= config_.batch_max) return oldest.enqueued_us;
-  return oldest.enqueued_us + config_.batch_window_us;
+  return ready_locked();
 }
 
 std::optional<FormedBatch> Shard::form_batch(std::vector<WorkItem>& out,
                                              bool force) {
   std::lock_guard<std::mutex> lock(mu_);
-  WorkItem oldest;
-  if (!queue_->try_peek(oldest)) return std::nullopt;
+  const auto ready = ready_locked();
+  if (!ready.has_value()) return std::nullopt;
   const std::uint64_t now = clock_->now_us();
-  if (!force) {
-    const std::uint64_t ready = queue_->size() >= config_.batch_max
-                                    ? oldest.enqueued_us
-                                    : oldest.enqueued_us +
-                                          config_.batch_window_us;
-    if (now < ready) return std::nullopt;
-  }
+  if (!force && now < *ready) return std::nullopt;
 
   FormedBatch batch;
   if (breaker_.has_value()) {
@@ -422,7 +201,7 @@ std::optional<FormedBatch> Shard::form_batch(std::vector<WorkItem>& out,
   batch.now_us = now;
   const std::size_t limit = batch.probe ? 1 : config_.batch_max;
   WorkItem item;
-  while (batch.items < limit && queue_->try_pop(item)) {
+  while (batch.items < limit && queue_.try_pop(item)) {
     quotas_.release(item.tenant);
     if (item.deadline_at_us <= now) {
       // Expired while queued: still handed to the server (a result must
@@ -459,12 +238,9 @@ void Shard::record(TrialOutcome outcome, const std::string& stage) {
   VIBGUARD_UNREACHABLE();
 }
 
-std::size_t Shard::depth() const { return queue_->size(); }
-
-std::optional<std::uint64_t> Shard::oldest_enqueued_us() const {
-  WorkItem oldest;
-  if (!queue_->try_peek(oldest)) return std::nullopt;
-  return oldest.enqueued_us;
+std::size_t Shard::depth() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return queue_.size();
 }
 
 ShardStats Shard::stats() const {

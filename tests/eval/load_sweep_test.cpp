@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <ios>
 #include <limits>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "dsp/simd.hpp"
 
 namespace vibguard::eval {
 namespace {
@@ -116,28 +120,37 @@ TEST(LoadSweepTest, RunsEndToEndAndConservesCounts) {
 }
 
 TEST(LoadSweepTest, SlowBatchesStillDrainTheWholeBacklog) {
-  // Each full batch (4 x 3 s) outlasts the replay's 10 s wedge bound. A
-  // fault-free worker that keeps serving must still drain every admitted
-  // request, however far past the last arrival its backlog runs.
-  FleetSweepConfig cfg;
-  cfg.base = small_config();
-  cfg.base.legit_trials = 4;
-  cfg.base.attack_trials = 4;
-  cfg.base.offered_rps = {10.0};
-  cfg.base.service_us_primary = 3'000'000;
-  cfg.base.deadline_us = 100'000'000;
-  cfg.base.queue_capacity = 16;
-  cfg.workers = {1};
-  cfg.batch_max = 4;
-  const FleetSweepResult result = run_fleet_sweep(cfg, 42);
-  ASSERT_EQ(result.points.size(), 1u);
-  const FleetSweepPoint& p = result.points[0];
-  EXPECT_EQ(p.arrivals, 8u);
-  EXPECT_EQ(p.admitted, p.arrivals);
-  EXPECT_EQ(p.scored_primary + p.scored_degraded + p.indeterminate +
-                p.errors + p.deadline_missed,
-            p.admitted);
-  EXPECT_EQ(p.deadline_missed, 0u);
+  // Without faults the loop always drains: every admitted request ends in
+  // a bucket however far past the last arrival the backlog runs. Two
+  // shapes: full batches of 4 x 3 s on one worker, and two workers whose
+  // partial batches wait out an 11 s window (a fixed 10 s drain bound past
+  // the last arrival once cut both short).
+  FleetSweepConfig slow;
+  slow.base = small_config();
+  slow.base.legit_trials = 4;
+  slow.base.attack_trials = 4;
+  slow.base.offered_rps = {10.0};
+  slow.base.service_us_primary = 3'000'000;
+  slow.base.deadline_us = 100'000'000;
+  slow.base.queue_capacity = 16;
+  slow.workers = {1};
+  slow.batch_max = 4;
+  FleetSweepConfig long_window = slow;
+  long_window.base.service_us_primary = small_config().service_us_primary;
+  long_window.workers = {2};
+  long_window.batch_window_us = 11'000'000;
+  for (const FleetSweepConfig& cfg : {slow, long_window}) {
+    const FleetSweepResult result = run_fleet_sweep(cfg, 42);
+    ASSERT_EQ(result.points.size(), 1u);
+    const FleetSweepPoint& p = result.points[0];
+    SCOPED_TRACE(testing::Message() << "window " << cfg.batch_window_us);
+    EXPECT_EQ(p.arrivals, 8u);
+    EXPECT_EQ(p.admitted, p.arrivals);
+    EXPECT_EQ(p.scored_primary + p.scored_degraded + p.indeterminate +
+                  p.errors + p.deadline_missed,
+              p.admitted);
+    EXPECT_EQ(p.deadline_missed, 0u);
+  }
 }
 
 TEST(LoadSweepTest, LightLoadServesEverythingInBudget) {
@@ -245,6 +258,80 @@ TEST(FleetSweepTest, ScoringIsBitIdenticalAcrossWorkerCountsAndWindows) {
   const FleetSweepResult no_batching = run_fleet_sweep(wide, 42);
   ASSERT_EQ(no_batching.points.size(), 1u);
   EXPECT_EQ(no_batching.points[0].eer_primary, eer);
+}
+
+TEST(FleetSweepTest, SmallFleetReproducesRecordedRows) {
+  // small_fleet() at both loads over one to three workers, seed 42, at the
+  // scalar SIMD level: every FleetSweepPoint field, doubles by their bits.
+  // Recorded at commit f2cf8c1, before the fleet loop moved into
+  // load_sweep.cpp; it pins the multi-worker columns (batches, average
+  // batch, queue time, throughput) that the single-node rows leave free.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    std::size_t workers;
+    double offered_rps;
+    std::size_t arrivals, admitted, rejected, quota_rejected,
+        deadline_missed, scored_primary, scored_degraded, indeterminate,
+        errors, breaker_trips, batches;
+    double mean_batch, mean_queue_us, throughput_rps, eer_primary,
+        eer_degraded;
+  } kRows[] = {
+      {1, 0x1p-1, 16, 16, 0, 0, 0, 16, 0, 0, 0, 0, 16, 0x1p+0, 0x1.388p+14,
+       0x1.aea1351251be6p-2, 0x1p-3, nan},
+      {1, 0x1.4p+3, 16, 15, 1, 0, 2, 6, 7, 0, 0, 1, 9, 0x1.aaaaaaaaaaaabp+0,
+       0x1.b7abccccccccdp+16, 0x1.e2b03691dd427p+2, 0x1p-2,
+       0x1.999999999999ap-1},
+      {2, 0x1p-1, 16, 16, 0, 0, 0, 16, 0, 0, 0, 0, 16, 0x1p+0, 0x1.388p+14,
+       0x1.aea1351251be6p-2, 0x1p-3, nan},
+      {2, 0x1.4p+3, 16, 15, 1, 0, 2, 6, 7, 0, 0, 1, 9, 0x1.aaaaaaaaaaaabp+0,
+       0x1.b7abccccccccdp+16, 0x1.e2b03691dd427p+2, 0x1p-2,
+       0x1.999999999999ap-1},
+      {3, 0x1p-1, 16, 16, 0, 0, 0, 16, 0, 0, 0, 0, 16, 0x1p+0, 0x1.388p+14,
+       0x1.aea1351251be6p-2, 0x1p-3, nan},
+      {3, 0x1.4p+3, 16, 14, 2, 0, 2, 8, 4, 0, 0, 1, 10, 0x1.6666666666666p+0,
+       0x1.67d4a49249249p+16, 0x1.ccf02566de76ap+2, 0x1.9999999999998p-3,
+       nan},
+  };
+  FleetSweepConfig cfg = small_fleet();
+  cfg.base.offered_rps = {0.5, 10.0};
+  const dsp::simd::Level prev = dsp::simd::active_level();
+  ASSERT_TRUE(dsp::simd::set_level(dsp::simd::Level::kScalar));
+  const FleetSweepResult result = run_fleet_sweep(cfg, 42);
+  dsp::simd::set_level(prev);
+
+  const auto same_bits = [](double got, double want) {
+    return std::bit_cast<std::uint64_t>(got) ==
+           std::bit_cast<std::uint64_t>(want);
+  };
+  ASSERT_EQ(result.points.size(), std::size(kRows));
+  for (std::size_t i = 0; i < result.points.size(); ++i) {
+    const FleetSweepPoint& p = result.points[i];
+    const auto& want = kRows[i];
+    SCOPED_TRACE(testing::Message() << "row " << i);
+    EXPECT_EQ(p.workers, want.workers);
+    EXPECT_TRUE(same_bits(p.offered_rps, want.offered_rps));
+    EXPECT_EQ(p.arrivals, want.arrivals);
+    EXPECT_EQ(p.admitted, want.admitted);
+    EXPECT_EQ(p.rejected, want.rejected);
+    EXPECT_EQ(p.quota_rejected, want.quota_rejected);
+    EXPECT_EQ(p.deadline_missed, want.deadline_missed);
+    EXPECT_EQ(p.scored_primary, want.scored_primary);
+    EXPECT_EQ(p.scored_degraded, want.scored_degraded);
+    EXPECT_EQ(p.indeterminate, want.indeterminate);
+    EXPECT_EQ(p.errors, want.errors);
+    EXPECT_EQ(p.breaker_trips, want.breaker_trips);
+    EXPECT_EQ(p.batches, want.batches);
+    EXPECT_TRUE(same_bits(p.mean_batch, want.mean_batch))
+        << "mean batch is " << std::hexfloat << p.mean_batch;
+    EXPECT_TRUE(same_bits(p.mean_queue_us, want.mean_queue_us))
+        << "mean queue us is " << std::hexfloat << p.mean_queue_us;
+    EXPECT_TRUE(same_bits(p.throughput_rps, want.throughput_rps))
+        << "throughput is " << std::hexfloat << p.throughput_rps;
+    EXPECT_TRUE(same_bits(p.eer_primary, want.eer_primary))
+        << "primary EER is " << std::hexfloat << p.eer_primary;
+    EXPECT_TRUE(same_bits(p.eer_degraded, want.eer_degraded))
+        << "degraded EER is " << std::hexfloat << p.eer_degraded;
+  }
 }
 
 TEST(FleetSweepTest, ConservesCountsUnderOverload) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "attacks/attack.hpp"
+#include "common/alloc_counter.hpp"
 #include "common/clock.hpp"
 #include "common/rng.hpp"
 #include "core/segmentation.hpp"
@@ -199,6 +200,53 @@ TEST(ServerTest, PlacementIsStableAndServedCountsAccumulate) {
   for (const ServedResult& r : results) EXPECT_EQ(r.worker, w);
   ASSERT_NE(server.session(session_id, handle), nullptr);
   EXPECT_EQ(server.session(session_id, handle)->served, 2u);
+}
+
+TEST(ServerTest, WarmBatchAllocatesNothingOnTheDrainingThread) {
+  // Forming and completing a batch reuses lane-owned scratch only: once a
+  // batch of four requests has warmed the lane, a second batch of the same
+  // clean requests performs no heap allocation on the draining thread.
+  const Population& pop = Population::instance();
+  VirtualClock clock;
+  ServerConfig config;
+  config.workers = 1;
+  config.shard.batch_max = 4;
+  Server server(config, clock);
+  const std::uint64_t session_id = 601;
+  const SessionHandle handle = server.open_session(session_id);
+
+  const auto submit_batch = [&] {
+    Rng base(99);
+    for (std::size_t i = 0; i < 4; ++i) {
+      ServerRequest request;
+      request.va = &pop.trials[i].recordings.va;
+      request.wearable = &pop.trials[i].recordings.wearable;
+      request.segmenter = pop.trials[i].segmenter.get();
+      request.rng = base.fork(i);
+      request.request_id = i;
+      ASSERT_EQ(server.submit(session_id, handle, request),
+                SubmitStatus::kQueued);
+    }
+  };
+  std::vector<ServedResult> results;
+  results.reserve(4);
+  submit_batch();
+  ASSERT_TRUE(server.form_batch(0).has_value());
+  server.complete_batch(0, results);
+  ASSERT_EQ(results.size(), 4u);
+
+  submit_batch();
+  results.clear();
+  const std::uint64_t before = allocation_count();
+  const bool formed = server.form_batch(0).has_value();
+  if (formed) server.complete_batch(0, results);
+  const std::uint64_t allocations = allocation_count() - before;
+  ASSERT_TRUE(formed);
+  EXPECT_EQ(allocations, 0u);
+  ASSERT_EQ(results.size(), 4u);
+  for (const ServedResult& r : results) {
+    EXPECT_EQ(r.outcome.status, core::ScoreStatus::kOk) << r.request_id;
+  }
 }
 
 TEST(ServerTest, OversizedDeadlineBudgetNeverExpires) {
