@@ -87,14 +87,14 @@ void BM_ScoreBatchSerial(benchmark::State& state) {
   core::Workspace workspace;
   core::PipelineTrace trace;
   core::PipelineStats stats;
-  std::vector<double> scores(panel.requests.size());
-  system.score_batch(panel.requests, scores, workspace, &trace, &stats);
+  std::vector<core::ScoreOutcome> outcomes(panel.requests.size());
+  system.score_batch(panel.requests, outcomes, workspace, &trace, &stats);
   std::uint64_t allocs = 0;
   for (auto _ : state) {
     const std::uint64_t before = allocation_count();
-    system.score_batch(panel.requests, scores, workspace, &trace, &stats);
+    system.score_batch(panel.requests, outcomes, workspace, &trace, &stats);
     allocs += allocation_count() - before;
-    benchmark::DoNotOptimize(scores.data());
+    benchmark::DoNotOptimize(outcomes.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(panel.requests.size()));
@@ -107,17 +107,17 @@ BENCHMARK(BM_ScoreBatchSerial);
 
 void BM_ScoreBatchParallel(benchmark::State& state) {
   // ThreadPool fan-out with one warm workspace per worker (the
-  // ExperimentRunner path). Scores are bit-identical to the serial batch.
+  // ExperimentRunner path). Outcomes are bit-identical to the serial batch.
   const TrialPanel panel = make_panel(8);
   core::DefenseSystem system{core::DefenseConfig{}};
   ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   std::vector<core::Workspace> workspaces(
       std::max<std::size_t>(1, pool.num_threads()));
-  std::vector<double> scores(panel.requests.size());
-  system.score_batch(panel.requests, scores, pool, workspaces);
+  std::vector<core::ScoreOutcome> outcomes(panel.requests.size());
+  system.score_batch(panel.requests, outcomes, pool, workspaces);
   for (auto _ : state) {
-    system.score_batch(panel.requests, scores, pool, workspaces);
-    benchmark::DoNotOptimize(scores.data());
+    system.score_batch(panel.requests, outcomes, pool, workspaces);
+    benchmark::DoNotOptimize(outcomes.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(panel.requests.size()));

@@ -134,7 +134,7 @@ ScoreOutcome DefenseSystem::try_score(const Signal& va_recording,
                                       PipelineTrace* trace,
                                       const Deadline* deadline) const {
   ScoreOutcome outcome;
-  // The plain API treats empty inputs as caller errors; here they are a
+  // score() treats empty inputs as caller errors; here they are a
   // deployment reality (absent wearable capture, zero-length upload) and
   // map to a structured indeterminate outcome.
   if (va_recording.empty() || wearable_recording.empty()) {
@@ -176,48 +176,13 @@ ScoreOutcome DefenseSystem::try_score(const Signal& va_recording,
 }
 
 void DefenseSystem::score_batch(std::span<const ScoreRequest> requests,
-                                std::span<double> out, Workspace& workspace,
-                                PipelineTrace* trace,
-                                PipelineStats* stats) const {
-  VIBGUARD_REQUIRE(out.size() == requests.size(),
-                   "output span must match the request count");
-  // Stats need per-stage records even when the caller did not ask for a
-  // trace; route through a local reusable one in that case.
-  PipelineTrace local_trace;
-  PipelineTrace* sink =
-      trace != nullptr ? trace : (stats != nullptr ? &local_trace : nullptr);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const ScoreRequest& req = requests[i];
-    Rng rng = req.rng;  // each request scores from its own stream copy
-    out[i] = score(*req.va, *req.wearable, req.segmenter, rng, workspace,
-                   sink, req.deadline);
-    if (stats != nullptr) stats->add(*sink);
-  }
-}
-
-void DefenseSystem::score_batch(std::span<const ScoreRequest> requests,
-                                std::span<double> out, ThreadPool& pool,
-                                std::span<Workspace> workspaces) const {
-  VIBGUARD_REQUIRE(out.size() == requests.size(),
-                   "output span must match the request count");
-  const std::size_t needed = std::max<std::size_t>(1, pool.num_threads());
-  VIBGUARD_REQUIRE(workspaces.size() >= needed,
-                   "need one workspace per pool worker");
-  pool.parallel_for_indexed(
-      requests.size(), [&](std::size_t worker, std::size_t i) {
-        const ScoreRequest& req = requests[i];
-        Rng rng = req.rng;
-        out[i] = score(*req.va, *req.wearable, req.segmenter, rng,
-                       workspaces[worker], nullptr, req.deadline);
-      });
-}
-
-void DefenseSystem::score_batch(std::span<const ScoreRequest> requests,
                                 std::span<ScoreOutcome> out,
                                 Workspace& workspace, PipelineTrace* trace,
                                 PipelineStats* stats) const {
   VIBGUARD_REQUIRE(out.size() == requests.size(),
                    "output span must match the request count");
+  // Stats need per-stage records even when the caller did not ask for a
+  // trace; route through a local reusable one in that case.
   PipelineTrace local_trace;
   PipelineTrace* sink =
       trace != nullptr ? trace : (stats != nullptr ? &local_trace : nullptr);

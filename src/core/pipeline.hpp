@@ -162,34 +162,21 @@ class DefenseSystem {
                          const Deadline* deadline = nullptr) const;
 
   /// Scores `requests.size()` commands into `out` (same size required),
-  /// reusing one workspace across the whole batch. Each request's scoring
-  /// draws only from its own rng copy, so results are independent of batch
+  /// reusing one workspace across the whole batch. Every trial ends in a
+  /// structured ScoreOutcome, as from try_score: a bad trial never aborts
+  /// the batch or poisons its neighbours. Each request's scoring draws only
+  /// from its own rng copy, so results are independent of batch
   /// composition and order. When `stats` is non-null, per-stage aggregates
   /// over the batch are folded into it (`trace` may additionally capture
   /// the last request's artifacts).
-  void score_batch(std::span<const ScoreRequest> requests,
-                   std::span<double> out, Workspace& workspace,
-                   PipelineTrace* trace = nullptr,
-                   PipelineStats* stats = nullptr) const;
-
-  /// Parallel batch scoring over `pool`, with one workspace per pool worker
-  /// (`workspaces.size()` must be >= max(1, pool.num_threads())). Scores
-  /// are bit-identical to the serial overload at any thread count.
-  void score_batch(std::span<const ScoreRequest> requests,
-                   std::span<double> out, ThreadPool& pool,
-                   std::span<Workspace> workspaces) const;
-
-  /// Outcome batch (serial): like the plain serial score_batch but every
-  /// trial ends in a structured ScoreOutcome — a bad trial never aborts the
-  /// batch or poisons its neighbours. Healthy trials score bit-identical to
-  /// the plain API.
   void score_batch(std::span<const ScoreRequest> requests,
                    std::span<ScoreOutcome> out, Workspace& workspace,
                    PipelineTrace* trace = nullptr,
                    PipelineStats* stats = nullptr) const;
 
-  /// Outcome batch (parallel): per-trial isolation at any thread count,
-  /// bit-identical outcomes to the serial outcome overload.
+  /// Parallel batch scoring over `pool`, with one workspace per pool worker
+  /// (`workspaces.size()` must be >= max(1, pool.num_threads())). Outcomes
+  /// are bit-identical to the serial overload at any thread count.
   void score_batch(std::span<const ScoreRequest> requests,
                    std::span<ScoreOutcome> out, ThreadPool& pool,
                    std::span<Workspace> workspaces) const;

@@ -103,7 +103,6 @@ class BrnnSegmenter : public Segmenter {
                                    std::size_t timeline_offset) const override;
 
   const Config& config() const { return config_; }
-  const nn::Brnn& model() const { return brnn_; }
 
  private:
   Config config_;

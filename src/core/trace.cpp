@@ -43,26 +43,6 @@ void PipelineStats::add(const PipelineTrace& trace) {
   }
 }
 
-void PipelineStats::merge(const PipelineStats& other) {
-  commands += other.commands;
-  for (const StageStats& os : other.stages) {
-    auto it = std::find_if(
-        stages.begin(), stages.end(),
-        [&os](const StageStats& s) { return s.name == os.name; });
-    if (it == stages.end()) {
-      stages.push_back(os);
-      stages.back().last_seen = 0;  // trial ids don't transfer across stats
-      continue;
-    }
-    it->calls += os.calls;
-    it->trials += os.trials;
-    it->total_wall_us += os.total_wall_us;
-    it->max_wall_us = std::max(it->max_wall_us, os.max_wall_us);
-    it->total_allocations += os.total_allocations;
-    it->last_seen = 0;
-  }
-}
-
 void PipelineStats::clear() {
   commands = 0;
   stages.clear();

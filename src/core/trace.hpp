@@ -98,7 +98,7 @@ struct PipelineStats {
 
     /// Internal marker used by PipelineStats::add to count trials without
     /// rescanning the record list (the id of the last command that touched
-    /// this stage). Not meaningful across merge().
+    /// this stage).
     std::uint64_t last_seen = 0;
   };
 
@@ -107,10 +107,6 @@ struct PipelineStats {
 
   /// Folds one command's stage records into the aggregates.
   void add(const PipelineTrace& trace);
-
-  /// Folds another aggregate in (e.g. per-worker stats after a parallel
-  /// batch).
-  void merge(const PipelineStats& other);
 
   void clear();
 

@@ -39,31 +39,8 @@ Signal Wearable::cross_domain_capture(const Signal& recording,
                                       Rng& rng) const {
   Signal out;
   dsp::Scratch scratch;
-  cross_domain_capture_into(recording, rng, out, scratch);
-  return out;
-}
-
-void Wearable::cross_domain_capture_into(const Signal& recording, Rng& rng,
-                                         Signal& out,
-                                         dsp::Scratch& scratch) const {
   realize_capture(recording, draw_capture(recording, rng), out, scratch);
-}
-
-Signal Wearable::cross_domain_capture(const Signal& recording,
-                                      sensors::Activity activity,
-                                      Rng& rng) const {
-  Signal out;
-  dsp::Scratch scratch;
-  cross_domain_capture_into(recording, activity, rng, out, scratch);
   return out;
-}
-
-void Wearable::cross_domain_capture_into(const Signal& recording,
-                                         sensors::Activity activity, Rng& rng,
-                                         Signal& out,
-                                         dsp::Scratch& scratch) const {
-  realize_capture(recording, draw_capture(recording, rng, activity), out,
-                  scratch);
 }
 
 sensors::CaptureDraw Wearable::draw_capture(

@@ -45,36 +45,20 @@ class Wearable {
   /// This is the audio→vibration conversion of Sec. IV-A.
   Signal cross_domain_capture(const Signal& recording, Rng& rng) const;
 
-  /// Allocation-free overload: writes the vibration signal into `out`,
-  /// routing the rendered replay and all DSP temporaries through `scratch`.
-  /// Bit-identical to cross_domain_capture (same rng draw order).
-  void cross_domain_capture_into(const Signal& recording, Rng& rng,
-                                 Signal& out, dsp::Scratch& scratch) const;
-
-  /// Cross-domain sensing while the wearer performs `activity`:
-  /// activity-specific motion interference replaces the config's built-in
-  /// stand-in (see sensors::body_motion).
-  Signal cross_domain_capture(const Signal& recording,
-                              sensors::Activity activity, Rng& rng) const;
-
-  /// Activity overload writing into `out`. The generated motion signal
-  /// itself still allocates (see sensors::body_motion); everything else
-  /// reuses `scratch`.
-  void cross_domain_capture_into(const Signal& recording,
-                                 sensors::Activity activity, Rng& rng,
-                                 Signal& out, dsp::Scratch& scratch) const;
-
-  /// The random half of cross_domain_capture() (DESIGN.md §5j): when
-  /// `activity` is set, renders its motion, then draws the accelerometer's
-  /// capture of the replayed `recording` (the speaker keeps its length and
-  /// rate). Reads only the recording's length and rate.
+  /// The random half of cross_domain_capture() (DESIGN.md §5j): when the
+  /// wearer performs `activity`, renders its motion interference, which
+  /// replaces the config's built-in stand-in (see sensors::body_motion);
+  /// then draws the accelerometer's capture of the replayed `recording`
+  /// (the speaker keeps its length and rate). Reads only the recording's
+  /// length and rate.
   sensors::CaptureDraw draw_capture(
       const Signal& recording, Rng& rng,
       std::optional<sensors::Activity> activity = std::nullopt) const;
 
-  /// The pure half: the capture overloads are realize_capture(recording,
-  /// draw_capture(recording, rng[, activity]), out, scratch), bit for bit.
-  /// Calls with their own `out` and `scratch` may run at once.
+  /// The pure half: cross_domain_capture(recording, rng) is
+  /// realize_capture(recording, draw_capture(recording, rng), out,
+  /// scratch), bit for bit. Calls with their own `out` and `scratch` may
+  /// run at once.
   void realize_capture(const Signal& recording,
                        const sensors::CaptureDraw& draw, Signal& out,
                        dsp::Scratch& scratch) const;

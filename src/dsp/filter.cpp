@@ -12,95 +12,6 @@
 
 namespace vibguard::dsp {
 
-Biquad::Biquad(double b0, double b1, double b2, double a1, double a2)
-    : b0_(b0), b1_(b1), b2_(b2), a1_(a1), a2_(a2) {}
-
-Biquad Biquad::low_pass(double cutoff_hz, double sample_rate, double q) {
-  VIBGUARD_REQUIRE(cutoff_hz > 0.0 && cutoff_hz < sample_rate / 2.0,
-                   "cutoff must be in (0, fs/2)");
-  VIBGUARD_REQUIRE(q > 0.0, "Q must be positive");
-  const double w0 = 2.0 * std::numbers::pi * cutoff_hz / sample_rate;
-  const double cw = std::cos(w0);
-  const double sw = std::sin(w0);
-  const double alpha = sw / (2.0 * q);
-  const double a0 = 1.0 + alpha;
-  return Biquad((1.0 - cw) / 2.0 / a0, (1.0 - cw) / a0, (1.0 - cw) / 2.0 / a0,
-                -2.0 * cw / a0, (1.0 - alpha) / a0);
-}
-
-Biquad Biquad::high_pass(double cutoff_hz, double sample_rate, double q) {
-  VIBGUARD_REQUIRE(cutoff_hz > 0.0 && cutoff_hz < sample_rate / 2.0,
-                   "cutoff must be in (0, fs/2)");
-  VIBGUARD_REQUIRE(q > 0.0, "Q must be positive");
-  const double w0 = 2.0 * std::numbers::pi * cutoff_hz / sample_rate;
-  const double cw = std::cos(w0);
-  const double sw = std::sin(w0);
-  const double alpha = sw / (2.0 * q);
-  const double a0 = 1.0 + alpha;
-  return Biquad((1.0 + cw) / 2.0 / a0, -(1.0 + cw) / a0,
-                (1.0 + cw) / 2.0 / a0, -2.0 * cw / a0, (1.0 - alpha) / a0);
-}
-
-double Biquad::process(double x) {
-  const double y = b0_ * x + z1_;
-  z1_ = b1_ * x - a1_ * y + z2_;
-  z2_ = b2_ * x - a2_ * y;
-  return y;
-}
-
-void Biquad::process(std::span<double> xs) {
-  for (double& x : xs) x = process(x);
-}
-
-void Biquad::reset() { z1_ = z2_ = 0.0; }
-
-double Biquad::magnitude_response(double omega) const {
-  const Complex z = std::polar(1.0, omega);
-  const Complex z2 = z * z;
-  const Complex num = b0_ * z2 + b1_ * z + b2_;
-  const Complex den = z2 + a1_ * z + a2_;
-  return std::abs(num / den);
-}
-
-ButterworthFilter::ButterworthFilter(Kind kind, std::size_t order,
-                                     double cutoff_hz, double sample_rate) {
-  VIBGUARD_REQUIRE(order >= 2 && order % 2 == 0,
-                   "Butterworth order must be even and >= 2");
-  const std::size_t pairs = order / 2;
-  sections_.reserve(pairs);
-  for (std::size_t k = 0; k < pairs; ++k) {
-    // Standard Butterworth pole-pair Q values.
-    const double theta = std::numbers::pi *
-                         (2.0 * static_cast<double>(k) + 1.0) /
-                         (2.0 * static_cast<double>(order));
-    const double q = 1.0 / (2.0 * std::sin(theta));
-    sections_.push_back(kind == Kind::kLowPass
-                            ? Biquad::low_pass(cutoff_hz, sample_rate, q)
-                            : Biquad::high_pass(cutoff_hz, sample_rate, q));
-  }
-}
-
-double ButterworthFilter::process(double x) {
-  for (Biquad& s : sections_) x = s.process(x);
-  return x;
-}
-
-void ButterworthFilter::process(std::span<double> xs) {
-  for (double& x : xs) x = process(x);
-}
-
-Signal ButterworthFilter::filtered(const Signal& in) const {
-  ButterworthFilter copy = *this;
-  copy.reset();
-  Signal out = in;
-  copy.process(out.samples());
-  return out;
-}
-
-void ButterworthFilter::reset() {
-  for (Biquad& s : sections_) s.reset();
-}
-
 std::vector<double> design_fir_lowpass(double cutoff_hz, double sample_rate,
                                        std::size_t num_taps) {
   VIBGUARD_REQUIRE(num_taps % 2 == 1, "FIR length must be odd");

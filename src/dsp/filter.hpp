@@ -1,5 +1,5 @@
-// Digital filters: biquad IIR sections, windowed-sinc FIR design, and
-// FFT-based zero-phase filtering with arbitrary frequency-gain curves.
+// Digital filters: windowed-sinc FIR design and FFT-based zero-phase
+// filtering with arbitrary frequency-gain curves.
 //
 // The gain-curve filter is the workhorse of the physical simulation: barrier
 // transmission, loudspeaker/microphone responses, and accelerometer coupling
@@ -16,56 +16,6 @@
 #include "common/signal.hpp"
 
 namespace vibguard::dsp {
-
-/// Direct-form-II-transposed biquad section.
-class Biquad {
- public:
-  /// Coefficients normalized so a0 == 1.
-  Biquad(double b0, double b1, double b2, double a1, double a2);
-
-  /// RBJ-cookbook second-order Butterworth-style low-pass.
-  static Biquad low_pass(double cutoff_hz, double sample_rate, double q);
-
-  /// RBJ-cookbook second-order Butterworth-style high-pass.
-  static Biquad high_pass(double cutoff_hz, double sample_rate, double q);
-
-  /// Processes one sample, updating internal state.
-  double process(double x);
-
-  /// Processes a buffer in place.
-  void process(std::span<double> xs);
-
-  /// Clears internal state.
-  void reset();
-
-  /// Magnitude response at normalized angular frequency w = 2*pi*f/fs.
-  double magnitude_response(double omega) const;
-
- private:
-  double b0_, b1_, b2_, a1_, a2_;
-  double z1_ = 0.0, z2_ = 0.0;
-};
-
-/// Cascade of biquads forming a higher-order Butterworth filter.
-class ButterworthFilter {
- public:
-  enum class Kind { kLowPass, kHighPass };
-
-  /// `order` must be even and >= 2 (cascaded second-order sections).
-  ButterworthFilter(Kind kind, std::size_t order, double cutoff_hz,
-                    double sample_rate);
-
-  double process(double x);
-  void process(std::span<double> xs);
-
-  /// Applies the filter to a copy of `in` (stateless convenience).
-  Signal filtered(const Signal& in) const;
-
-  void reset();
-
- private:
-  std::vector<Biquad> sections_;
-};
 
 /// Windowed-sinc low-pass FIR taps (Hamming window, odd length).
 std::vector<double> design_fir_lowpass(double cutoff_hz, double sample_rate,

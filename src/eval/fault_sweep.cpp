@@ -45,6 +45,8 @@ FaultSweepResult run_fault_sweep(const FaultSweepConfig& config,
                    "need at least two speakers (victim + adversary)");
   VIBGUARD_REQUIRE(!config.severities.empty(),
                    "severity grid must be non-empty");
+  VIBGUARD_REQUIRE(config.legit_trials + config.attack_trials > 0,
+                   "sweep population must hold at least one trial");
 
   // Render the clean trial population once, mirroring ExperimentRunner's
   // deterministic definition: one shared simulator stream in a fixed order.
@@ -100,14 +102,10 @@ FaultSweepResult run_fault_sweep(const FaultSweepConfig& config,
       faulty_wear[t] = trials[t].wearable;
       if (!plan.empty()) {
         const std::uint64_t label = sev_idx * 2654435761ULL + t * 2ULL;
-        if (config.inject_va) {
-          Rng r = fault_rng.fork(label);
-          plan.apply(faulty_va[t], r);
-        }
-        if (config.inject_wearable) {
-          Rng r = fault_rng.fork(label + 1);
-          plan.apply(faulty_wear[t], r);
-        }
+        Rng va_rng = fault_rng.fork(label);
+        plan.apply(faulty_va[t], va_rng);
+        Rng wear_rng = fault_rng.fork(label + 1);
+        plan.apply(faulty_wear[t], wear_rng);
       }
       const std::size_t legit_before =
           trials[t].is_attack ? config.legit_trials : t;

@@ -2,8 +2,9 @@
 //
 // Renders one fixed population of legitimate and attack trials, then — for
 // each severity level of one fault kind — applies the canonical
-// severity_plan corruption to deterministic per-trial copies of the
-// recordings and scores them through the exception-safe outcome batch API.
+// severity_plan corruption to deterministic per-trial copies of both
+// channels' recordings and scores them through the exception-safe outcome
+// batch API.
 // The sweep measures two things at once: how detection quality (EER/AUC)
 // decays as captures degrade, and how much of the population the quality
 // gate diverts into indeterminate outcomes instead of garbage verdicts. By
@@ -32,9 +33,6 @@ struct FaultSweepConfig {
   faults::FaultKind fault = faults::FaultKind::kDropout;
   /// Severity grid; 0 is the uninjected baseline.
   std::vector<double> severities = {0.0, 0.25, 0.5, 0.75, 1.0};
-  /// Which channel(s) the fault corrupts.
-  bool inject_va = true;
-  bool inject_wearable = true;
   /// Worker threads: 0 = auto (VIBGUARD_THREADS / hardware), 1 = serial.
   /// Outcomes are bit-identical at every thread count.
   std::size_t threads = 0;

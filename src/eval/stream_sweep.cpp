@@ -16,6 +16,10 @@
 namespace vibguard::eval {
 namespace {
 
+/// Exit-confidence thresholds swept, one table row each (applied to both
+/// rule sides).
+constexpr double kExitConfidences[] = {0.80, 0.90, 0.95, 0.97, 0.99};
+
 struct EvalTrial {
   bool is_attack = false;
   bool scored = false;      ///< batch scoring produced a real score
@@ -199,7 +203,7 @@ StreamSweepResult run_stream_sweep(const StreamSweepConfig& config,
   // attack exits in [0, 1-c], accept exits in [c, 1]. This preserves the
   // batch ROC ordering among completers and never ranks a completed trial
   // above (or below) an explicit early verdict.
-  for (const double c : config.exit_confidences) {
+  for (const double c : kExitConfidences) {
     core::StreamingConfig row_cfg = config.streaming;
     row_cfg.stop.enabled = true;
     row_cfg.stop.attack_confidence = c;

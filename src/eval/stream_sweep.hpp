@@ -48,9 +48,6 @@ struct StreamSweepConfig {
   core::DefenseConfig defense;
   core::StreamingConfig streaming;
 
-  /// Exit-confidence thresholds swept (applied to both rule sides).
-  std::vector<double> exit_confidences = {0.80, 0.90, 0.95, 0.97, 0.99};
-
   /// Push granularity of the simulated stream.
   std::size_t frame_samples = 1024;
 };

@@ -111,19 +111,6 @@ double Brnn::train_batch(std::span<const LabeledSequence> batch) {
                           : 0.0;
 }
 
-std::vector<ParamBlock*> Brnn::parameter_blocks() {
-  return {&forward_.wx(), &forward_.wh(), &forward_.bias(),
-          &backward_.wx(), &backward_.wh(), &backward_.bias(),
-          &head_.weights(), &head_.bias()};
-}
-
-std::vector<const ParamBlock*> Brnn::parameter_blocks() const {
-  auto* self = const_cast<Brnn*>(this);
-  std::vector<const ParamBlock*> out;
-  for (ParamBlock* b : self->parameter_blocks()) out.push_back(b);
-  return out;
-}
-
 double Brnn::evaluate(std::span<const LabeledSequence> data) const {
   std::size_t correct = 0;
   std::size_t total = 0;

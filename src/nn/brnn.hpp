@@ -50,11 +50,6 @@ class Brnn {
   /// Frame accuracy over a labeled set.
   double evaluate(std::span<const LabeledSequence> data) const;
 
-  /// All trainable parameter blocks in a fixed order (forward LSTM wx/wh/b,
-  /// backward LSTM wx/wh/b, head weights/bias) — used by serialization.
-  std::vector<ParamBlock*> parameter_blocks();
-  std::vector<const ParamBlock*> parameter_blocks() const;
-
  private:
   std::vector<std::vector<double>> forward_states(
       std::span<const std::vector<double>> features, Lstm::Cache& fwd_cache,

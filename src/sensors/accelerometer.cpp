@@ -39,24 +39,6 @@ double Accelerometer::lf_dominance(const Signal& audio) const {
                                    config_.lf_dominance_cutoff_hz);
 }
 
-Signal Accelerometer::capture_with_motion(const Signal& audio,
-                                          const Signal& motion,
-                                          Rng& rng) const {
-  Signal out;
-  dsp::Scratch scratch;
-  capture_with_motion_into(audio, motion, rng, out, scratch);
-  return out;
-}
-
-void Accelerometer::capture_with_motion_into(const Signal& audio,
-                                             const Signal& motion, Rng& rng,
-                                             Signal& out,
-                                             dsp::Scratch& scratch) const {
-  realize(audio,
-          draw_with_motion(audio.size(), audio.sample_rate(), motion, rng),
-          out, scratch);
-}
-
 Signal Accelerometer::capture(const Signal& audio, Rng& rng) const {
   Signal out;
   dsp::Scratch scratch;

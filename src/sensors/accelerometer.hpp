@@ -73,7 +73,7 @@ struct CaptureDraw {
   double motion_hz = 0.0;
   double motion_phase = 0.0;
   /// Explicit motion at the accelerometer rate, added in place of the
-  /// stand-in (capture_with_motion, or the wearer's activity).
+  /// stand-in (draw_with_motion, as for the wearer's activity).
   Signal motion;
 };
 
@@ -95,32 +95,21 @@ class Accelerometer {
   void capture_into(const Signal& audio, Rng& rng, Signal& out,
                     dsp::Scratch& scratch) const;
 
-  /// Like capture(), but with an explicit body-motion interference signal
-  /// (already at the accelerometer rate, e.g. from sensors::body_motion)
-  /// superimposed instead of the config's built-in sinusoidal stand-in.
-  Signal capture_with_motion(const Signal& audio, const Signal& motion,
-                             Rng& rng) const;
-
-  /// Overload of capture_with_motion() writing into `out` and routing every
-  /// temporary through `scratch`; only the copy of `motion` it draws
-  /// allocates.
-  void capture_with_motion_into(const Signal& audio, const Signal& motion,
-                                Rng& rng, Signal& out,
-                                dsp::Scratch& scratch) const;
-
   /// The random half of capture() for audio of `samples` samples at
   /// `sample_rate`: checks the rate and draws what the capture consumes.
   /// Empty audio draws nothing.
   CaptureDraw draw(std::size_t samples, double sample_rate, Rng& rng) const;
 
-  /// The random half of capture_with_motion(): `motion` replaces the
-  /// built-in stand-in, so only the noise is drawn.
+  /// Like draw(), but with an explicit body-motion interference signal
+  /// (already at the accelerometer rate, e.g. from sensors::body_motion)
+  /// that realize() superimposes instead of the config's built-in
+  /// sinusoidal stand-in, so only the noise is drawn.
   CaptureDraw draw_with_motion(std::size_t samples, double sample_rate,
                                Signal motion, Rng& rng) const;
 
   /// The pure half: capture_into(audio, rng, out, scratch) ==
   /// realize(audio, draw(audio.size(), audio.sample_rate(), rng), out,
-  /// scratch), bit for bit, and likewise for the motion overloads. It
+  /// scratch), bit for bit. It
   /// touches no Rng but a copy of the draw's, and shares only thread-local
   /// caches and immutable FFT plans, so captures with their own `out` and
   /// `scratch` can be realized at once.

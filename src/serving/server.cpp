@@ -115,17 +115,6 @@ SubmitStatus Server::submit(std::uint64_t session_id, SessionHandle session,
   return status;
 }
 
-std::optional<std::uint64_t> Server::batch_ready_us() const {
-  std::optional<std::uint64_t> earliest;
-  for (std::size_t w = 0; w < workers(); ++w) {
-    const auto ready = lane(w).shard.batch_ready_us();
-    if (ready.has_value() && (!earliest.has_value() || *ready < *earliest)) {
-      earliest = ready;
-    }
-  }
-  return earliest;
-}
-
 std::optional<PlannedBatch> Server::form_batch(std::size_t w, bool force) {
   Lane& lane = this->lane(w);
   VIBGUARD_REQUIRE(!lane.has_batch,
@@ -196,8 +185,7 @@ void Server::complete_batch(std::size_t w, std::vector<ServedResult>& out,
   lane.outs.resize(lane.reqs.size());
   if (!lane.reqs.empty()) {
     route.score_batch(lane.reqs, std::span<core::ScoreOutcome>(lane.outs),
-                      lane.workspace, &lane.pipeline_trace,
-                      &lane.pipeline_stats);
+                      lane.workspace);
   }
 
   // Emit results in batch order, feed the breaker (primary route only,

@@ -57,7 +57,6 @@
 #include "common/rng.hpp"
 #include "common/signal.hpp"
 #include "core/pipeline.hpp"
-#include "core/trace.hpp"
 #include "serving/session_slab.hpp"
 #include "serving/shard.hpp"
 
@@ -163,10 +162,6 @@ class Server {
   SubmitStatus submit(std::uint64_t session_id, SessionHandle session,
                       const ServerRequest& request);
 
-  /// Earliest time any shard's next micro-batch is due (nullopt when all
-  /// queues are empty) — the pump's sleep target.
-  std::optional<std::uint64_t> batch_ready_us() const;
-
   /// Forms worker `w`'s next micro-batch (nullopt: queue empty, or the
   /// window has not elapsed and `force` is false). The batch is parked in
   /// the lane until complete_batch(w) — exactly one planned batch per
@@ -208,11 +203,6 @@ class Server {
 
   const Shard& shard(std::size_t w) const { return lane(w).shard; }
 
-  /// Pipeline-stage aggregates accumulated by worker `w`'s scoring calls.
-  const core::PipelineStats& worker_pipeline_stats(std::size_t w) const {
-    return lane(w).pipeline_stats;
-  }
-
  private:
   /// Everything one worker owns. Heap-pinned (vector of unique_ptr) so
   /// lanes never move; `mu` guards the slab and payload slots, the shard
@@ -237,8 +227,6 @@ class Server {
     bool has_batch = false;
 
     core::Workspace workspace;
-    core::PipelineTrace pipeline_trace;
-    core::PipelineStats pipeline_stats;
     std::vector<core::ScoreRequest> reqs;
     std::vector<core::ScoreOutcome> outs;
     std::vector<Deadline> deadlines;

@@ -57,36 +57,6 @@ const SessionRecord* SessionSlab::get(SessionHandle handle) const {
   return const_cast<SessionSlab*>(this)->get(handle);
 }
 
-std::vector<SessionHandle> SessionSlab::handles() const {
-  std::vector<SessionHandle> out;
-  out.reserve(size_);
-  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    if ((generations_[i] & 1u) != 0) {
-      out.push_back(SessionHandle{i, generations_[i]});
-    }
-  }
-  return out;
-}
-
-void SessionSlab::clear() {
-  free_.clear();
-  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    const std::uint32_t index =
-        static_cast<std::uint32_t>(slots_.size() - 1 - i);
-    if ((generations_[index] & 1u) != 0) {
-      if (generations_[index] == UINT32_MAX) {
-        generations_[index] = 0;  // retire at the wrap, as in erase()
-        continue;
-      }
-      ++generations_[index];
-    } else if (generations_[index] == 0) {
-      continue;  // retired by a previous wrap: never recycle
-    }
-    free_.push_back(index);
-  }
-  size_ = 0;
-}
-
 SessionHandle SessionSlab::set_generation_for_test(SessionHandle handle,
                                                    std::uint32_t generation) {
   VIBGUARD_REQUIRE(get(handle) != nullptr,

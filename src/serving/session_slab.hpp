@@ -76,13 +76,6 @@ class SessionSlab {
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return slots_.size(); }
 
-  /// Handles of every live slot, in slot order (deterministic).
-  /// O(capacity); control-plane only.
-  std::vector<SessionHandle> handles() const;
-
-  /// Drops every record and invalidates every handle; capacity retained.
-  void clear();
-
   /// Test-only: jumps a live slot's generation to `generation` (parity
   /// must stay odd) and returns the rewritten handle. Exists so the
   /// 2^31-reuse generation wraparound can be exercised without two

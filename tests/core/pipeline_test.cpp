@@ -179,10 +179,11 @@ TEST(PipelineTest, ScoreBatchMatchesSingleShotAtEveryThreadCount) {
 
   // Serial batch through one workspace.
   Workspace workspace;
-  std::vector<double> scores(requests.size());
-  sys.score_batch(requests, scores, workspace);
+  std::vector<ScoreOutcome> outcomes(requests.size());
+  sys.score_batch(requests, outcomes, workspace);
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_DOUBLE_EQ(scores[i], expected[i]) << "serial trial " << i;
+    ASSERT_TRUE(outcomes[i].ok()) << "serial trial " << i;
+    EXPECT_DOUBLE_EQ(outcomes[i].score, expected[i]) << "serial trial " << i;
   }
 
   // Parallel batch with one warm workspace per worker, at several thread
@@ -192,10 +193,12 @@ TEST(PipelineTest, ScoreBatchMatchesSingleShotAtEveryThreadCount) {
     ThreadPool pool(threads);
     std::vector<Workspace> workspaces(
         std::max<std::size_t>(1, pool.num_threads()));
-    std::vector<double> parallel(requests.size(), 0.0);
+    std::vector<ScoreOutcome> parallel(requests.size());
     sys.score_batch(requests, parallel, pool, workspaces);
     for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_DOUBLE_EQ(parallel[i], expected[i])
+      ASSERT_TRUE(parallel[i].ok())
+          << "trial " << i << " with " << threads << " threads";
+      EXPECT_DOUBLE_EQ(parallel[i].score, expected[i])
           << "trial " << i << " with " << threads << " threads";
     }
   }
@@ -208,15 +211,16 @@ TEST(PipelineTest, ScoreBatchCollectsStats) {
   std::vector<ScoreRequest> requests(
       3, ScoreRequest{&t.va, &t.wearable, &seg, Rng(19)});
   Workspace workspace;
-  std::vector<double> scores(requests.size());
+  std::vector<ScoreOutcome> outcomes(requests.size());
   PipelineStats stats;
-  sys.score_batch(requests, scores, workspace, nullptr, &stats);
+  sys.score_batch(requests, outcomes, workspace, nullptr, &stats);
   EXPECT_EQ(stats.commands, 3u);
   ASSERT_FALSE(stats.stages.empty());
   EXPECT_EQ(stats.stages.front().calls, 3u);
+  for (const ScoreOutcome& o : outcomes) ASSERT_TRUE(o.ok());
   // Identical requests (same rng seed) must score identically.
-  EXPECT_DOUBLE_EQ(scores[0], scores[1]);
-  EXPECT_DOUBLE_EQ(scores[1], scores[2]);
+  EXPECT_DOUBLE_EQ(outcomes[0].score, outcomes[1].score);
+  EXPECT_DOUBLE_EQ(outcomes[1].score, outcomes[2].score);
 }
 
 TEST(PipelineTest, TraceExposesFeatures) {
@@ -251,7 +255,8 @@ void expect_same_stream(Rng got, Rng want) {
 TEST(PipelineTest, SplitCaptureMatchesSerialCapture) {
   // The stage draws both channels, then realizes the wearable channel on
   // the workspace's companion (inline on a pool worker). Its captures and
-  // the rng it leaves must equal two serial one-call captures, VA first.
+  // the rng it leaves must equal two serial captures, each drawn then
+  // realized, VA first.
   const auto t = attack_trial(95);
   namespace simd = dsp::simd;
   const simd::Level prev = simd::active_level();
@@ -264,20 +269,15 @@ TEST(PipelineTest, SplitCaptureMatchesSerialCapture) {
       DefenseConfig cfg;
       if (moving) cfg.user_activity = sensors::Activity::kWalking;
       const DefenseSystem sys(cfg);
+      const device::Wearable& w = sys.wearable();
       Rng serial(96);
       Signal want_va, want_wear;
       dsp::Scratch scratch;
-      if (moving) {
-        sys.wearable().cross_domain_capture_into(t.va, *cfg.user_activity,
-                                                 serial, want_va, scratch);
-        sys.wearable().cross_domain_capture_into(
-            t.wearable, *cfg.user_activity, serial, want_wear, scratch);
-      } else {
-        sys.wearable().cross_domain_capture_into(t.va, serial, want_va,
-                                                 scratch);
-        sys.wearable().cross_domain_capture_into(t.wearable, serial,
-                                                 want_wear, scratch);
-      }
+      w.realize_capture(t.va, w.draw_capture(t.va, serial, cfg.user_activity),
+                        want_va, scratch);
+      w.realize_capture(
+          t.wearable, w.draw_capture(t.wearable, serial, cfg.user_activity),
+          want_wear, scratch);
 
       const auto capture = [&](Workspace& ws) {
         Rng rng(96);

@@ -497,15 +497,6 @@ TEST(StreamingTraceTest, StatsSeparateCallsFromTrials) {
   EXPECT_EQ(ingest->trials, 2u);
   EXPECT_GT(ingest->calls, ingest->trials);
   EXPECT_GT(ingest->mean_calls_per_trial(), 1.0);
-
-  PipelineStats other = stats;
-  other.merge(stats);
-  for (const auto& s : other.stages) {
-    if (s.name == "stream_ingest") {
-      EXPECT_EQ(s.trials, 4u);
-      EXPECT_EQ(s.calls, 2 * ingest->calls);
-    }
-  }
 }
 
 }  // namespace

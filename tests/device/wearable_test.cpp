@@ -69,24 +69,30 @@ TEST(WearableTest, CaptureIsReproducibleGivenSeed) {
 }
 
 // The capture as the wearable composed it before its draw/realize split:
-// render, then the activity's motion, then the accelerometer's one-call
-// capture of the rendered replay.
+// render, then the activity's motion, then the accelerometer's capture of
+// the rendered replay.
 Signal composed_capture(const Wearable& w, const Signal& rec,
                         std::optional<sensors::Activity> activity,
                         Rng& rng) {
   const Signal rendered = w.speaker().render(rec);
-  if (!activity) return w.accelerometer().capture(rendered, rng);
-  const Signal motion =
-      sensors::body_motion(*activity, rec.duration() + 0.1,
-                           w.accelerometer().config().sample_rate, rng);
-  return w.accelerometer().capture_with_motion(rendered, motion, rng);
+  const sensors::Accelerometer& acc = w.accelerometer();
+  if (!activity) return acc.capture(rendered, rng);
+  Signal motion = sensors::body_motion(*activity, rec.duration() + 0.1,
+                                       acc.config().sample_rate, rng);
+  dsp::Scratch scratch;
+  Signal out;
+  acc.realize(rendered,
+              acc.draw_with_motion(rendered.size(), rendered.sample_rate(),
+                                   std::move(motion), rng),
+              out, scratch);
+  return out;
 }
 
 TEST(WearableTest, DrawThenRealizeMatchesCapture) {
-  // realize_capture(draw_capture(...)) against the one-call capture, and
-  // against the pre-split composition, each on a copy of the same
-  // generator: the same vibration bits, and the generator left at the
-  // same point (a pending Box–Muller spare included).
+  // realize_capture(draw_capture(...)) against the pre-split composition
+  // and, with no activity, the one-call capture, each on a copy of the
+  // same generator: the same vibration bits, and the generator left at
+  // the same point (a pending Box–Muller spare included).
   WearableConfig still = fossil_gen5();
   still.accelerometer.body_motion_rms = 0.0;
   Rng noise(41);
@@ -112,20 +118,21 @@ TEST(WearableTest, DrawThenRealizeMatchesCapture) {
           Rng one_call(42);
           if (spare) one_call.gaussian();  // leaves a Box–Muller spare
           Rng split = one_call, composed = one_call;
-          const Signal want =
-              activity ? w.cross_domain_capture(*rec, *activity, one_call)
-                       : w.cross_domain_capture(*rec, one_call);
           const Signal ref = composed_capture(w, *rec, activity, composed);
           dsp::Scratch scratch;
           Signal got;
           w.realize_capture(*rec, w.draw_capture(*rec, split, activity), got,
                             scratch);
-          for (const auto& [expected, expected_rng] :
-               {std::pair{&want, one_call}, std::pair{&ref, composed}}) {
-            ASSERT_EQ(got.size(), expected->size());
+          std::vector<std::pair<Signal, Rng>> expectations = {{ref, composed}};
+          if (!activity) {
+            const Signal want = w.cross_domain_capture(*rec, one_call);
+            expectations.emplace_back(want, one_call);
+          }
+          for (const auto& [expected, expected_rng] : expectations) {
+            ASSERT_EQ(got.size(), expected.size());
             for (std::size_t i = 0; i < got.size(); ++i) {
               ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
-                        std::bit_cast<std::uint64_t>((*expected)[i]))
+                        std::bit_cast<std::uint64_t>(expected[i]))
                   << "sample " << i;
             }
             Rng a = split, b = expected_rng;

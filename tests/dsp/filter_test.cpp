@@ -3,85 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numbers>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dsp/generate.hpp"
-#include "dsp/spectral.hpp"
 
 namespace vibguard::dsp {
 namespace {
-
-double response_at(const ButterworthFilter& base, double f, double fs) {
-  // Measure empirically by filtering a tone and comparing RMS (skip the
-  // transient).
-  const Signal in = tone(f, 1.0, fs);
-  ButterworthFilter filt = base;
-  const Signal out = filt.filtered(in);
-  const auto steady_in = in.slice(in.size() / 2, in.size());
-  const auto steady_out = out.slice(out.size() / 2, out.size());
-  return steady_out.rms() / steady_in.rms();
-}
-
-TEST(BiquadTest, LowPassAttenuatesHighFrequency) {
-  Biquad lp = Biquad::low_pass(100.0, 1000.0, std::numbers::sqrt2 / 2.0);
-  EXPECT_NEAR(lp.magnitude_response(2.0 * std::numbers::pi * 10.0 / 1000.0),
-              1.0, 0.05);
-  EXPECT_LT(lp.magnitude_response(2.0 * std::numbers::pi * 400.0 / 1000.0),
-            0.1);
-}
-
-TEST(BiquadTest, HighPassAttenuatesLowFrequency) {
-  Biquad hp = Biquad::high_pass(100.0, 1000.0, std::numbers::sqrt2 / 2.0);
-  EXPECT_LT(hp.magnitude_response(2.0 * std::numbers::pi * 10.0 / 1000.0),
-            0.05);
-  EXPECT_NEAR(hp.magnitude_response(2.0 * std::numbers::pi * 400.0 / 1000.0),
-              1.0, 0.05);
-}
-
-TEST(BiquadTest, CutoffIsMinus3Db) {
-  Biquad lp = Biquad::low_pass(100.0, 1000.0, std::numbers::sqrt2 / 2.0);
-  const double g =
-      lp.magnitude_response(2.0 * std::numbers::pi * 100.0 / 1000.0);
-  EXPECT_NEAR(g, std::pow(10.0, -3.0 / 20.0), 0.01);
-}
-
-TEST(BiquadTest, RejectsInvalidParameters) {
-  EXPECT_THROW(Biquad::low_pass(0.0, 1000.0, 0.7), InvalidArgument);
-  EXPECT_THROW(Biquad::low_pass(600.0, 1000.0, 0.7), InvalidArgument);
-  EXPECT_THROW(Biquad::high_pass(100.0, 1000.0, 0.0), InvalidArgument);
-}
-
-TEST(BiquadTest, ResetClearsState) {
-  Biquad lp = Biquad::low_pass(50.0, 1000.0, 0.7);
-  const double first = lp.process(1.0);
-  lp.process(0.5);
-  lp.reset();
-  EXPECT_DOUBLE_EQ(lp.process(1.0), first);
-}
-
-TEST(ButterworthTest, OrderMustBeEvenPositive) {
-  EXPECT_THROW(
-      ButterworthFilter(ButterworthFilter::Kind::kLowPass, 3, 100.0, 1000.0),
-      InvalidArgument);
-  EXPECT_THROW(
-      ButterworthFilter(ButterworthFilter::Kind::kLowPass, 0, 100.0, 1000.0),
-      InvalidArgument);
-}
-
-TEST(ButterworthTest, FourthOrderHighPassRollsOffSteeply) {
-  ButterworthFilter hp(ButterworthFilter::Kind::kHighPass, 4, 4.0, 200.0);
-  EXPECT_LT(response_at(hp, 0.5, 200.0), 0.01);   // deep stopband
-  EXPECT_NEAR(response_at(hp, 40.0, 200.0), 1.0, 0.05);  // passband
-}
-
-TEST(ButterworthTest, PassbandFlat) {
-  ButterworthFilter lp(ButterworthFilter::Kind::kLowPass, 4, 80.0, 1000.0);
-  for (double f : {5.0, 10.0, 20.0, 40.0}) {
-    EXPECT_NEAR(response_at(lp, f, 1000.0), 1.0, 0.05) << f;
-  }
-}
 
 TEST(FirTest, LowpassUnityDcGain) {
   const auto taps = design_fir_lowpass(100.0, 1000.0, 51);

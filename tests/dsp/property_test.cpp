@@ -37,44 +37,6 @@ INSTANTIATE_TEST_SUITE_P(Windows, StftEnergyTest,
                          ::testing::Values(16, 32, 64, 128));
 
 // ---------------------------------------------------------------------
-// Butterworth filters: stable and unity-passband across cutoffs/orders.
-// ---------------------------------------------------------------------
-struct ButterCase {
-  std::size_t order;
-  double cutoff_hz;
-};
-
-class ButterworthSweepTest : public ::testing::TestWithParam<ButterCase> {};
-
-TEST_P(ButterworthSweepTest, StableAndUnityInPassband) {
-  const auto [order, cutoff] = GetParam();
-  ButterworthFilter hp(ButterworthFilter::Kind::kHighPass, order, cutoff,
-                       200.0);
-  // Stability: bounded output for bounded noise input.
-  Rng rng(order);
-  Signal in = white_noise(5.0, 200.0, 1.0, rng);
-  const Signal out = hp.filtered(in);
-  for (double v : out) {
-    ASSERT_TRUE(std::isfinite(v));
-    ASSERT_LT(std::abs(v), 100.0);
-  }
-  // Passband (well above cutoff): gain ~1.
-  const Signal tone_sig = tone(cutoff * 8.0 < 95.0 ? cutoff * 8.0 : 90.0,
-                               4.0, 200.0);
-  ButterworthFilter hp2(ButterworthFilter::Kind::kHighPass, order, cutoff,
-                        200.0);
-  const Signal filtered = hp2.filtered(tone_sig);
-  EXPECT_NEAR(filtered.slice(400, 700).rms(), tone_sig.slice(400, 700).rms(),
-              0.1);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, ButterworthSweepTest,
-    ::testing::Values(ButterCase{2, 2.0}, ButterCase{2, 4.0},
-                      ButterCase{4, 2.0}, ButterCase{4, 4.0},
-                      ButterCase{4, 10.0}, ButterCase{6, 4.0}));
-
-// ---------------------------------------------------------------------
 // Resampling: a band-limited signal survives down-and-up rate conversion.
 // ---------------------------------------------------------------------
 class ResampleRoundTripTest : public ::testing::TestWithParam<double> {};

@@ -192,5 +192,12 @@ TEST(ExperimentTest, RejectsTooFewSpeakers) {
   EXPECT_THROW(ExperimentRunner(cfg, 1), vibguard::InvalidArgument);
 }
 
+TEST(ExperimentTest, RejectsEmptyPopulation) {
+  ExperimentConfig cfg = small_config();
+  cfg.legit_trials = 0;
+  cfg.attack_trials = 0;
+  EXPECT_THROW(ExperimentRunner(cfg, 1), vibguard::InvalidArgument);
+}
+
 }  // namespace
 }  // namespace vibguard::eval

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <string>
 
+#include "common/error.hpp"
+
 namespace vibguard::eval {
 namespace {
 
@@ -91,6 +93,13 @@ TEST(FaultSweepTest, SummaryNamesFaultAndSeverities) {
   const std::string text = result.summary();
   EXPECT_NE(text.find("clipping"), std::string::npos);
   EXPECT_NE(text.find("severity"), std::string::npos);
+}
+
+TEST(FaultSweepTest, RejectsEmptyPopulation) {
+  FaultSweepConfig cfg = small_config();
+  cfg.legit_trials = 0;
+  cfg.attack_trials = 0;
+  EXPECT_THROW(run_fault_sweep(cfg, 14), vibguard::InvalidArgument);
 }
 
 }  // namespace

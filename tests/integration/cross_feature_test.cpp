@@ -1,20 +1,16 @@
-// Cross-feature integration: the newer subsystems (WAV I/O, recognizer,
-// serialization, session, fusion, motion, ambient noise) working together
-// with the core pipeline, parameterized over attack types.
+// Cross-feature integration: the newer subsystems (WAV I/O, session,
+// ambient noise) working together with the core pipeline, parameterized
+// over attack types.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 
 #include "acoustics/ambient.hpp"
-#include "common/db.hpp"
 #include "common/wav.hpp"
-#include "core/fusion.hpp"
 #include "core/session.hpp"
 #include "eval/experiment.hpp"
 #include "eval/scenario.hpp"
-#include "nn/serialize.hpp"
-#include "speech/recognizer.hpp"
 
 namespace vibguard {
 namespace {
@@ -79,48 +75,6 @@ TEST(CrossFeatureTest, RecordingsSurviveWavRoundTripWithSameVerdict) {
   EXPECT_NEAR(roundtrip, original, 0.1);
   std::remove(va_path.c_str());
   std::remove(wr_path.c_str());
-}
-
-TEST(CrossFeatureTest, SerializedSegmenterSegmentsIdentically) {
-  core::BrnnSegmenter::Config cfg;
-  cfg.brnn.hidden_dim = 12;
-  core::BrnnSegmenter segmenter(cfg, 7);
-  eval::ScenarioSimulator sim(eval::ScenarioConfig{}, 44);
-  Rng rng(45);
-  const auto user = speech::sample_speaker(speech::Sex::kMale, rng);
-  const auto trial = sim.legitimate_trial(
-      speech::command_by_text("play some music"), user);
-
-  std::stringstream buffer;
-  nn::save_brnn(segmenter.model(), buffer);
-  const nn::Brnn loaded = nn::load_brnn(buffer);
-
-  const auto probs_orig = segmenter.frame_probabilities(trial.va);
-  // Rebuild a segmenter around the loaded weights via prediction parity.
-  const auto features = dsp::compute_mfcc(trial.va, cfg.mfcc);
-  const auto probs_loaded = loaded.predict(features);
-  ASSERT_EQ(probs_orig.size(), probs_loaded.size());
-  for (std::size_t t = 0; t < probs_orig.size(); ++t) {
-    EXPECT_DOUBLE_EQ(probs_orig[t], probs_loaded[t][1]);
-  }
-}
-
-TEST(CrossFeatureTest, WakeWordGateBeforeDefense) {
-  // Realistic flow: the recognizer gates, then the defense verifies.
-  eval::ScenarioSimulator sim(eval::ScenarioConfig{}, 46);
-  Rng rng(47);
-  const auto user = speech::sample_speaker(speech::Sex::kFemale, rng);
-  speech::WakeWordRecognizer recognizer;
-  speech::UtteranceBuilder builder;
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    Rng r(50 + i);
-    auto utt = builder.build(speech::command_by_text("ok google"), user, r);
-    recognizer.enroll(utt.audio.scaled_to_rms(spl_to_rms(70.0)));
-  }
-  Rng r(60);
-  auto wake = builder.build(speech::command_by_text("ok google"), user, r);
-  EXPECT_TRUE(
-      recognizer.match(wake.audio.scaled_to_rms(spl_to_rms(70.0))).matched);
 }
 
 TEST(CrossFeatureTest, BabbleAmbientRoomStillSeparates) {

@@ -5,7 +5,6 @@
 
 #include <cmath>
 
-#include "core/fusion.hpp"
 #include "core/pipeline.hpp"
 #include "dsp/generate.hpp"
 #include "eval/experiment.hpp"
@@ -107,17 +106,6 @@ TEST(RobustnessTest, RandomSeedSweepNeverProducesNan) {
     EXPECT_GE(s, -1.0);
     EXPECT_LE(s, 1.0);
   }
-}
-
-TEST(RobustnessTest, FusionHandlesDegenerateInputs) {
-  core::FusionScorer fusion;
-  const Signal silence = Signal::zeros(16000, 16000.0);
-  Rng rng(12);
-  // Baseline-mode components tolerate a null segmenter only when the
-  // vibration path falls back; full mode requires one — feed a real trial.
-  const auto t = make_trial(13);
-  core::OracleSegmenter seg(t.alignment, eval::reference_sensitive_set());
-  EXPECT_TRUE(std::isfinite(fusion.score(t.va, t.wearable, &seg, rng)));
 }
 
 }  // namespace

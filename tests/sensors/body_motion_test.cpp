@@ -72,15 +72,27 @@ TEST(BodyMotionTest, RejectsBadArguments) {
                vibguard::InvalidArgument);
 }
 
+// The accelerometer's capture of `audio` with `motion` in place of its
+// built-in stand-in.
+Signal motion_capture(const Accelerometer& acc, const Signal& audio,
+                      const Signal& motion, Rng& rng) {
+  dsp::Scratch scratch;
+  Signal out;
+  acc.realize(audio,
+              acc.draw_with_motion(audio.size(), audio.sample_rate(), motion,
+                                   rng),
+              out, scratch);
+  return out;
+}
+
 TEST(CaptureWithMotionTest, MotionAppearsInLowBand) {
   Accelerometer acc;
   Rng r1(7), r2(7), rm(8);
   const Signal audio = dsp::tone(2130.0, 3.0, 16000.0, 0.02);
   const Signal motion =
       body_motion(Activity::kRunning, 3.2, 200.0, rm, 1.0);
-  const Signal with = acc.capture_with_motion(audio, motion, r1);
-  const Signal without =
-      acc.capture_with_motion(audio, Signal({}, 200.0), r2);
+  const Signal with = motion_capture(acc, audio, motion, r1);
+  const Signal without = motion_capture(acc, audio, Signal({}, 200.0), r2);
   EXPECT_GT(dsp::band_energy(with, 0.0, 5.0),
             2.0 * dsp::band_energy(without, 0.0, 5.0));
 }
@@ -90,7 +102,8 @@ TEST(CaptureWithMotionTest, RejectsWrongRateMotion) {
   Rng rng(9);
   const Signal audio = dsp::tone(1000.0, 1.0, 16000.0, 0.02);
   const Signal motion = Signal::zeros(100, 100.0);
-  EXPECT_THROW(acc.capture_with_motion(audio, motion, rng),
+  EXPECT_THROW(acc.draw_with_motion(audio.size(), audio.sample_rate(),
+                                    motion, rng),
                vibguard::InvalidArgument);
 }
 

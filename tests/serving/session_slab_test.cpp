@@ -124,52 +124,5 @@ TEST(SessionSlabTest, GenerationWraparoundRetiresSlotInsteadOfAliasing) {
   EXPECT_EQ(slab.get(fresh)->session_id, 200u);
 }
 
-TEST(SessionSlabTest, ClearRetiresWrappedSlotsToo) {
-  SessionSlab slab;
-  SessionHandle wrapped = slab.insert(record(1));
-  const SessionHandle normal = slab.insert(record(2));
-  wrapped = slab.set_generation_for_test(wrapped, UINT32_MAX);
-  slab.clear();
-  EXPECT_EQ(slab.size(), 0u);
-  EXPECT_EQ(slab.get(wrapped), nullptr);
-  EXPECT_EQ(slab.get(normal), nullptr);
-  // The normal slot recycles; the wrapped slot never comes back.
-  const SessionHandle a = slab.insert(record(10));
-  const SessionHandle b = slab.insert(record(11));
-  EXPECT_NE(a.index, wrapped.index);
-  EXPECT_NE(b.index, wrapped.index);
-  const SessionHandle ancient{wrapped.index, 1};
-  EXPECT_EQ(slab.get(ancient), nullptr);
-}
-
-TEST(SessionSlabTest, HandlesEnumeratesLiveSlotsInSlotOrder) {
-  SessionSlab slab;
-  const SessionHandle a = slab.insert(record(10));
-  const SessionHandle b = slab.insert(record(20));
-  const SessionHandle c = slab.insert(record(30));
-  ASSERT_TRUE(slab.erase(b));
-  const std::vector<SessionHandle> live = slab.handles();
-  ASSERT_EQ(live.size(), 2u);
-  EXPECT_EQ(live[0], a);
-  EXPECT_EQ(live[1], c);
-}
-
-TEST(SessionSlabTest, ClearInvalidatesAllHandlesAndKeepsCapacity) {
-  SessionSlab slab;
-  std::vector<SessionHandle> handles;
-  for (std::uint64_t i = 0; i < 16; ++i) handles.push_back(slab.insert(record(i)));
-  const std::size_t capacity = slab.capacity();
-  slab.clear();
-  EXPECT_EQ(slab.size(), 0u);
-  EXPECT_EQ(slab.capacity(), capacity);
-  for (const SessionHandle& h : handles) {
-    EXPECT_EQ(slab.get(h), nullptr);
-  }
-  // Still usable after clear.
-  const SessionHandle fresh = slab.insert(record(42));
-  ASSERT_NE(slab.get(fresh), nullptr);
-  EXPECT_EQ(slab.get(fresh)->session_id, 42u);
-}
-
 }  // namespace
 }  // namespace vibguard::serving
