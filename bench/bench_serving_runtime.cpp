@@ -1,14 +1,16 @@
 // Micro-benchmarks for the sharded serving runtime's data-plane
 // primitives: SessionSlab open/lookup/close churn, WorkRing
-// push/pop, consistent-hash ring placement, and the shard's
-// submit → form_batch hot path (no pipeline scoring — this is the
-// bookkeeping cost a request pays on top of being scored).
+// push/pop, consistent-hash ring placement, and the server's
+// submit → form_batch → complete_batch path with nothing scored (this is
+// the bookkeeping cost a request pays on top of being scored).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/signal.hpp"
+#include "serving/server.hpp"
 #include "serving/session_slab.hpp"
 #include "serving/shard.hpp"
 
@@ -84,30 +86,41 @@ void BM_ConsistentHashRingLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_ConsistentHashRingLookup)->Arg(4)->Arg(64);
 
-void BM_ShardSubmitFormBatch(benchmark::State& state) {
-  const auto batch_max = static_cast<std::size_t>(state.range(0));
+void BM_ServerSubmitFormComplete(benchmark::State& state) {
+  // One worker and a zero deadline budget: every request expires in the
+  // queue, so complete_batch emits results without scoring anything.
+  const auto batch = static_cast<std::size_t>(state.range(0));
   VirtualClock clock;
-  ShardConfig cfg;
-  cfg.queue_capacity = 256;
-  cfg.batch_max = batch_max;
-  cfg.batch_window_us = 0;
-  Shard shard(cfg, clock);
-  std::vector<WorkItem> batch;
-  WorkItem item;
+  ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.shard.queue_capacity = 256;
+  cfg.shard.batch_max = batch;
+  cfg.deadline_us = 0;
+  Server server(cfg, clock);
+  const std::uint64_t session_id = 1;
+  const SessionHandle handle = server.open_session(session_id);
+  const Signal va, wearable;
+  ServerRequest request;
+  request.va = &va;
+  request.wearable = &wearable;
+  std::vector<ServedResult> results;
+  results.reserve(batch);
   std::uint64_t id = 0;
   for (auto _ : state) {
-    for (std::size_t i = 0; i < batch_max; ++i) {
-      item.request_id = id++;
-      shard.submit(item);
+    for (std::size_t i = 0; i < batch; ++i) {
+      request.request_id = id++;
+      server.submit(session_id, handle, request);
     }
-    batch.clear();
-    auto formed = shard.form_batch(batch, /*force=*/true);
-    benchmark::DoNotOptimize(formed);
+    auto planned = server.form_batch(0, /*force=*/true);
+    benchmark::DoNotOptimize(planned);
+    results.clear();
+    server.complete_batch(0, results);
+    benchmark::DoNotOptimize(results.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batch_max));
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
 }
-BENCHMARK(BM_ShardSubmitFormBatch)->Arg(1)->Arg(8);
+BENCHMARK(BM_ServerSubmitFormComplete)->Arg(1)->Arg(8);
 
 }  // namespace
 }  // namespace vibguard::serving

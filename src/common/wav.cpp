@@ -24,6 +24,11 @@ void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
 }
 
+/// Appends a four-character chunk tag.
+void put_tag(std::vector<std::uint8_t>& out, const char (&tag)[5]) {
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(tag[i]));
+}
+
 std::uint32_t get_u32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
          (static_cast<std::uint32_t>(p[1]) << 8) |
@@ -47,11 +52,10 @@ std::vector<std::uint8_t> encode_wav(const Signal& signal) {
 
   std::vector<std::uint8_t> out;
   out.reserve(44 + data_bytes);
-  const char* riff = "RIFF";
-  out.insert(out.end(), riff, riff + 4);
+  put_tag(out, "RIFF");
   put_u32(out, 36 + data_bytes);
-  const char* wavefmt = "WAVEfmt ";
-  out.insert(out.end(), wavefmt, wavefmt + 8);
+  put_tag(out, "WAVE");
+  put_tag(out, "fmt ");
   put_u32(out, 16);            // fmt chunk size
   put_u16(out, 1);             // PCM
   put_u16(out, 1);             // mono
@@ -59,8 +63,7 @@ std::vector<std::uint8_t> encode_wav(const Signal& signal) {
   put_u32(out, rate * 2);      // byte rate
   put_u16(out, 2);             // block align
   put_u16(out, 16);            // bits per sample
-  const char* data = "data";
-  out.insert(out.end(), data, data + 4);
+  put_tag(out, "data");
   put_u32(out, data_bytes);
   for (double s : signal) {
     const double clipped = std::clamp(s, -1.0, 1.0);

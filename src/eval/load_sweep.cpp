@@ -131,20 +131,17 @@ FleetSweepPoint replay(const Population& pop,
   VirtualClock clock;
   serving::ServerConfig server_cfg;
   server_cfg.defense = pop.primary_cfg;
-  server_cfg.degraded_mode = base.degraded_mode;
   server_cfg.workers = workers;
   server_cfg.shard.queue_capacity = base.queue_capacity;
   server_cfg.shard.batch_max = config.batch_max;
   server_cfg.shard.batch_window_us = config.batch_window_us;
-  server_cfg.shard.tenant_max_queued = config.tenant_max_queued;
   server_cfg.shard.breaker = base.breaker;
   server_cfg.deadline_us = base.deadline_us;
   serving::Server server(server_cfg, clock);
 
   std::vector<serving::SessionHandle> handles(config.sessions);
   for (std::size_t s = 0; s < config.sessions; ++s) {
-    handles[s] = server.open_session(
-        kSessionIdBase + s, static_cast<std::uint32_t>(s) % config.tenants);
+    handles[s] = server.open_session(kSessionIdBase + s);
   }
 
   FleetSweepPoint point;
@@ -168,7 +165,7 @@ FleetSweepPoint replay(const Population& pop,
     std::size_t sw = 0;
     std::uint64_t s_start = 0;
     for (std::size_t w = 0; w < workers; ++w) {
-      const auto ready = server.shard(w).batch_ready_us();
+      const auto ready = server.batch_ready_us(w);
       if (!ready.has_value()) continue;
       const std::uint64_t start =
           std::max({free_us[w], *ready, clock.now_us()});
@@ -276,9 +273,6 @@ FleetSweepPoint replay(const Population& pop,
       case serving::SubmitStatus::kRejectedQueueFull:
         ++point.rejected;
         break;
-      case serving::SubmitStatus::kRejectedTenantQuota:
-        ++point.quota_rejected;
-        break;
       case serving::SubmitStatus::kStaleSession:
         VIBGUARD_REQUIRE(false, "fleet replay lost a session handle");
     }
@@ -286,21 +280,17 @@ FleetSweepPoint replay(const Population& pop,
 
   std::uint64_t batched_items = 0, dequeued = 0, total_queue_us = 0;
   for (std::size_t w = 0; w < workers; ++w) {
-    const serving::Shard& shard = server.shard(w);
-    if (shard.breaker() != nullptr) {
-      point.breaker_trips += shard.breaker()->trips();
-    }
-    const serving::ShardStats stats = shard.stats();
-    dequeued += stats.admission.dequeued;
-    total_queue_us += stats.admission.total_queue_us;
+    const serving::ShardStats stats = server.stats(w);
+    point.breaker_trips += stats.breaker_trips;
+    dequeued += stats.dequeued;
+    total_queue_us += stats.total_queue_us;
     point.batches += stats.batches;
     batched_items += stats.batched_items;
   }
   VIBGUARD_REQUIRE(point.arrivals ==
-                       point.rejected + point.quota_rejected +
-                           point.scored_primary + point.scored_degraded +
-                           point.indeterminate + point.errors +
-                           point.deadline_missed,
+                       point.rejected + point.scored_primary +
+                           point.scored_degraded + point.indeterminate +
+                           point.errors + point.deadline_missed,
                    "fleet replay lost an arrival");
 
   point.mean_batch = ratio(batched_items, point.batches);
@@ -320,18 +310,18 @@ std::string FleetSweepResult::summary() const {
   std::string out = "fleet load sweep\n";
   char line[256];
   std::snprintf(line, sizeof(line),
-                "  %3s %7s %5s %6s %6s %6s %7s %8s %8s %6s %5s %7s %6s "
+                "  %3s %7s %5s %6s %6s %7s %8s %8s %6s %5s %7s %6s "
                 "%9s %9s %8s %8s\n",
-                "wrk", "rps", "arr", "reject", "quota", "dlmiss", "primary",
+                "wrk", "rps", "arr", "reject", "dlmiss", "primary",
                 "degraded", "indeterm", "error", "trips", "batches", "avg_b",
                 "queue us", "thr rps", "EERpri", "EERdeg");
   out += line;
   for (const FleetSweepPoint& p : points) {
     std::snprintf(line, sizeof(line),
-                  "  %3zu %7.1f %5zu %6zu %6zu %6zu %7zu %8zu %8zu %6zu "
+                  "  %3zu %7.1f %5zu %6zu %6zu %7zu %8zu %8zu %6zu "
                   "%5zu %7zu %6.2f %9.0f %9.2f %8.3f %8.3f\n",
                   p.workers, p.offered_rps, p.arrivals, p.rejected,
-                  p.quota_rejected, p.deadline_missed, p.scored_primary,
+                  p.deadline_missed, p.scored_primary,
                   p.scored_degraded, p.indeterminate, p.errors,
                   p.breaker_trips, p.batches, p.mean_batch, p.mean_queue_us,
                   p.throughput_rps, p.eer_primary, p.eer_degraded);
@@ -347,7 +337,6 @@ FleetSweepResult run_fleet_sweep(const FleetSweepConfig& config,
     VIBGUARD_REQUIRE(w > 0, "worker count must be positive");
   }
   VIBGUARD_REQUIRE(config.sessions > 0, "need at least one session");
-  VIBGUARD_REQUIRE(config.tenants > 0, "need at least one tenant");
 
   const Population pop = render_population(config.base, seed);
 

@@ -7,9 +7,10 @@
 // load_sweep.cpp. The server brings the whole overload toolkit: bounded
 // per-shard queues with reject-on-full backpressure, a per-request
 // deadline budget with cooperative cancellation, and per-shard circuit
-// breakers that route batches to the cheap degraded DefenseMode while the
-// primary pipeline is saturated. One worker with micro-batching off
-// (batch_max 1, no window, no setup cost) is the single serving node.
+// breakers that route batches to the cheap degraded route
+// (DefenseMode::kAudioBaseline) while the primary pipeline is saturated.
+// One worker with micro-batching off (batch_max 1, no window, no setup
+// cost) is the single serving node.
 // Service times are modeled (virtual microseconds; nothing ever sleeps),
 // while the scores come from the real pipeline, so each row reports both
 // the serving-side rates (accept / reject / deadline-miss / degraded) and
@@ -53,9 +54,6 @@ struct LoadSweepConfig {
 
   /// Breaker tripped by consecutive deadline misses on the primary route.
   serving::BreakerConfig breaker;
-
-  /// Cheap route used while the breaker is open.
-  core::DefenseMode degraded_mode = core::DefenseMode::kAudioBaseline;
 };
 
 /// Fleet sweep: the population served across a workers × load grid.
@@ -75,10 +73,6 @@ struct FleetSweepConfig {
 
   /// Long-lived session pool; request i belongs to session i mod sessions.
   std::size_t sessions = 16;
-  /// Tenants cycle over sessions (session s → tenant s mod tenants).
-  std::uint32_t tenants = 4;
-  /// Per-tenant queued-item quota per shard (SIZE_MAX = unlimited).
-  std::size_t tenant_max_queued = SIZE_MAX;
 
   /// Micro-batch limits (see ShardConfig).
   std::size_t batch_max = 4;
@@ -95,7 +89,6 @@ struct FleetSweepPoint {
   std::size_t arrivals = 0;
   std::size_t admitted = 0;
   std::size_t rejected = 0;        ///< full shard queue
-  std::size_t quota_rejected = 0;  ///< tenant over its queued quota
   std::size_t deadline_missed = 0; ///< expired in queue or mid-flight
   std::size_t scored_primary = 0;
   std::size_t scored_degraded = 0;

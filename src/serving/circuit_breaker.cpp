@@ -4,21 +4,10 @@
 
 namespace vibguard::serving {
 
-const char* breaker_state_name(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed: return "closed";
-    case BreakerState::kOpen: return "open";
-    case BreakerState::kHalfOpen: return "half_open";
-  }
-  VIBGUARD_UNREACHABLE();
-}
-
 CircuitBreaker::CircuitBreaker(BreakerConfig config, const Clock& clock)
     : config_(config), clock_(&clock) {
   VIBGUARD_REQUIRE(config_.failure_threshold > 0,
                    "failure threshold must be positive");
-  VIBGUARD_REQUIRE(config_.half_open_successes > 0,
-                   "half-open success count must be positive");
 }
 
 BreakerState CircuitBreaker::state() const {
@@ -36,7 +25,6 @@ bool CircuitBreaker::allow_primary() {
     case BreakerState::kOpen:
       if (clock_->now_us() - opened_at_us_ >= config_.cooldown_us) {
         state_ = BreakerState::kHalfOpen;
-        half_open_ok_ = 0;
         probe_outstanding_ = true;
         return true;  // the probe
       }
@@ -52,22 +40,20 @@ bool CircuitBreaker::allow_primary() {
 void CircuitBreaker::open_now() {
   state_ = BreakerState::kOpen;
   opened_at_us_ = clock_->now_us();
-  half_open_ok_ = 0;
   probe_outstanding_ = false;
-  consecutive_.clear();
+  consecutive_failures_ = 0;
 }
 
 void CircuitBreaker::record_success() {
   switch (state_) {
     case BreakerState::kClosed:
-      consecutive_.clear();
+      consecutive_failures_ = 0;
       return;
     case BreakerState::kHalfOpen:
+      // The probe succeeded: the primary path is healthy again.
       probe_outstanding_ = false;
-      if (++half_open_ok_ >= config_.half_open_successes) {
-        state_ = BreakerState::kClosed;
-        consecutive_.clear();
-      }
+      state_ = BreakerState::kClosed;
+      consecutive_failures_ = 0;
       return;
     case BreakerState::kOpen:
       // Degraded-path outcomes are not reported here; a success while open
@@ -77,18 +63,16 @@ void CircuitBreaker::record_success() {
   VIBGUARD_UNREACHABLE();
 }
 
-void CircuitBreaker::record_failure(const std::string& stage) {
+void CircuitBreaker::record_failure() {
   switch (state_) {
     case BreakerState::kClosed:
-      if (++consecutive_[stage] >= config_.failure_threshold) {
-        tripped_stage_ = stage;
+      if (++consecutive_failures_ >= config_.failure_threshold) {
         ++trips_;
         open_now();
       }
       return;
     case BreakerState::kHalfOpen:
       // The probe failed: back to a full cooldown.
-      tripped_stage_ = stage;
       open_now();
       return;
     case BreakerState::kOpen:
@@ -101,7 +85,7 @@ void CircuitBreaker::record_indeterminate() {
   switch (state_) {
     case BreakerState::kClosed:
       // No verdict on pipeline health: neither clears nor extends the
-      // consecutive-failure streaks.
+      // consecutive-failure streak.
       return;
     case BreakerState::kHalfOpen:
       // The probe came back without a verdict: release the probe slot so

@@ -1,38 +1,33 @@
-// Per-stage circuit breaker with half-open probing.
+// Circuit breaker with half-open probing.
 //
-// A pipeline stage that starts failing repeatedly (a fault-injection
-// campaign, a dead sensor feed, a regression) should not be retried blindly
-// on every command: the breaker observes the stream of primary-path
-// outcomes, counts consecutive hard failures per failing stage, and — once
-// one stage accumulates `failure_threshold` of them — trips. While tripped
-// (open) the caller routes commands to its configured degraded path instead
-// of the primary pipeline. After `cooldown_us` of breaker time the breaker
-// lets exactly one probe command through (half-open); a successful probe
-// closes the breaker, a failed probe reopens it for another cooldown.
+// A primary pipeline that starts failing repeatedly (a dead sensor feed, a
+// regression, a backlog that blows every deadline) should not be retried
+// blindly on every command: the breaker observes the stream of
+// primary-path outcomes, counts consecutive hard failures, and — once the
+// streak reaches `failure_threshold` — trips. While tripped (open) the
+// caller routes commands to its degraded path instead of the primary
+// pipeline. After `cooldown_us` of breaker time the breaker lets exactly
+// one probe command through (half-open); a successful probe closes the
+// breaker, a failed probe reopens it for another cooldown.
 //
-// The breaker is deliberately generic: failures are keyed by a stage-name
-// string and time flows through the injectable Clock, so with a
-// VirtualClock every transition is deterministic and unit-testable. Not
-// thread-safe; serving sessions are single-threaded per session.
+// Time flows through the injectable Clock, so with a VirtualClock every
+// transition is deterministic and unit-testable. Not thread-safe: the
+// owning shard is guarded by its server lane's lock.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
 
 #include "common/clock.hpp"
 
 namespace vibguard::serving {
 
 struct BreakerConfig {
-  /// Consecutive hard failures of one stage that trip the breaker.
+  /// Consecutive hard failures that trip the breaker.
   std::size_t failure_threshold = 3;
   /// Breaker-clock microseconds the breaker stays open before allowing a
   /// half-open probe.
   std::uint64_t cooldown_us = 5'000'000;
-  /// Consecutive probe successes required to close again.
-  std::size_t half_open_successes = 1;
 };
 
 enum class BreakerState {
@@ -40,9 +35,6 @@ enum class BreakerState {
   kOpen,      ///< tripped; commands routed to the degraded path
   kHalfOpen,  ///< cooldown elapsed; probing the primary path
 };
-
-/// Stable lower_snake name of a breaker state.
-const char* breaker_state_name(BreakerState state);
 
 class CircuitBreaker {
  public:
@@ -57,18 +49,17 @@ class CircuitBreaker {
   /// path. Commits the open → half-open transition when the cooldown has
   /// elapsed. While half-open at most one probe is outstanding at a time:
   /// further calls return false (degraded) until the probe's outcome is
-  /// reported, so a trial that fails in several stages — or a burst of
+  /// reported, so a trial reported more than once — or a burst of
   /// concurrent commands — cannot count as more than one probe.
   bool allow_primary();
 
-  /// Reports the outcome of a primary-path command. `record_failure` takes
-  /// the name of the failing stage; only hard failures (stage errors,
-  /// deadline expiry) should be recorded — quality-gated inputs are the
-  /// input's fault, not the pipeline's. Each call resolves at most one
-  /// outstanding half-open probe; extra reports for the same trial (a
-  /// multi-stage failure) land in the open state and are ignored.
+  /// Reports the outcome of a primary-path command. Only hard failures
+  /// (stage errors, deadline expiry) should be recorded as failures —
+  /// quality-gated inputs are the input's fault, not the pipeline's. Each
+  /// call resolves at most one outstanding half-open probe; extra reports
+  /// for the same trial land in the open state and are ignored.
   void record_success();
-  void record_failure(const std::string& stage);
+  void record_failure();
 
   /// Reports a primary-path command that ended without a verdict on the
   /// pipeline's health (quality-gated input, kIndeterminate). Neutral:
@@ -77,14 +68,8 @@ class CircuitBreaker {
   /// close the breaker as a success, but must not wedge probing either.
   void record_indeterminate();
 
-  /// The stage whose failures tripped the breaker ("" while closed and
-  /// never tripped).
-  const std::string& tripped_stage() const { return tripped_stage_; }
-
   /// Lifetime count of closed→open transitions.
   std::uint64_t trips() const { return trips_; }
-
-  const BreakerConfig& config() const { return config_; }
 
  private:
   void open_now();
@@ -93,15 +78,12 @@ class CircuitBreaker {
   const Clock* clock_;
   BreakerState state_ = BreakerState::kClosed;
   std::uint64_t opened_at_us_ = 0;
-  std::size_t half_open_ok_ = 0;
   /// True while a half-open probe has been dispatched but its outcome not
   /// yet reported; gates allow_primary() to one probe at a time.
   bool probe_outstanding_ = false;
   std::uint64_t trips_ = 0;
-  std::string tripped_stage_;
-  /// Consecutive-failure counters keyed by failing stage; any success on
-  /// the primary path clears all of them.
-  std::map<std::string, std::size_t> consecutive_;
+  /// Consecutive hard failures on the primary path; any success clears it.
+  std::size_t consecutive_failures_ = 0;
 };
 
 }  // namespace vibguard::serving

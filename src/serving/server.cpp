@@ -1,10 +1,37 @@
 #include "serving/server.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/error.hpp"
 
 namespace vibguard::serving {
+namespace {
+
+/// The cheap route a shard's batches take while its breaker is open.
+constexpr core::DefenseMode kDegradedMode = core::DefenseMode::kAudioBaseline;
+
+/// Longest one pump sleep lasts, in microseconds on the server clock: the
+/// loop wakes at least this often to re-check its stop flag.
+constexpr std::uint64_t kPumpIdlePollUs = 1'000;
+
+/// What one served result tells its shard's breaker. An item that expired
+/// in the queue never ran, so it says nothing about the pipeline's health —
+/// but if it was the probe, the probe slot must be released.
+TrialOutcome trial_outcome(const ServedResult& result) {
+  if (result.expired_in_queue) return TrialOutcome::kIndeterminate;
+  switch (result.outcome.status) {
+    case core::ScoreStatus::kOk: return TrialOutcome::kSuccess;
+    case core::ScoreStatus::kError:
+    case core::ScoreStatus::kDeadlineExceeded:
+      return TrialOutcome::kHardFailure;
+    case core::ScoreStatus::kIndeterminate:
+      return TrialOutcome::kIndeterminate;
+  }
+  VIBGUARD_UNREACHABLE();
+}
+
+}  // namespace
 
 Server::Server(ServerConfig config, const Clock& clock)
     : config_(config),
@@ -13,7 +40,7 @@ Server::Server(ServerConfig config, const Clock& clock)
       ring_(config.workers, kRingReplicas) {
   if (config_.shard.breaker.has_value()) {
     core::DefenseConfig degraded = config_.defense;
-    degraded.mode = config_.degraded_mode;
+    degraded.mode = kDegradedMode;
     degraded_system_.emplace(degraded);
   }
   lanes_.reserve(config_.workers);
@@ -29,14 +56,11 @@ Server::Lane& Server::lane(std::size_t w) const {
   return *lanes_[w];
 }
 
-SessionHandle Server::open_session(std::uint64_t session_id,
-                                   std::uint32_t tenant) {
+SessionHandle Server::open_session(std::uint64_t session_id) {
   Lane& lane = this->lane(shard_of(session_id));
   std::lock_guard<std::mutex> lock(lane.mu);
   SessionRecord record;
   record.session_id = session_id;
-  record.tenant = tenant;
-  record.last_active_us = clock_->now_us();
   return lane.slab.insert(record);
 }
 
@@ -46,25 +70,6 @@ bool Server::close_session(std::uint64_t session_id, SessionHandle handle) {
   const SessionRecord* record = lane.slab.get(handle);
   if (record == nullptr || record->session_id != session_id) return false;
   return lane.slab.erase(handle);
-}
-
-std::size_t Server::sessions() const {
-  std::size_t total = 0;
-  for (std::size_t w = 0; w < workers(); ++w) {
-    Lane& ln = lane(w);
-    std::lock_guard<std::mutex> lock(ln.mu);
-    total += ln.slab.size();
-  }
-  return total;
-}
-
-const SessionRecord* Server::session(std::uint64_t session_id,
-                                     SessionHandle handle) const {
-  const Lane& lane = this->lane(shard_of(session_id));
-  std::lock_guard<std::mutex> lock(lane.mu);
-  const SessionRecord* record = lane.slab.get(handle);
-  if (record == nullptr || record->session_id != session_id) return nullptr;
-  return record;
 }
 
 std::size_t Server::park_payload(Lane& lane, const ServerRequest& request) {
@@ -88,7 +93,6 @@ SubmitStatus Server::submit(std::uint64_t session_id, SessionHandle session,
   WorkItem item;
   item.session_id = session_id;
   item.request_id = request.request_id;
-  item.session = session;
   item.deadline_at_us = kNoDeadline;
   if (config_.deadline_us.has_value()) {
     // Saturates: a budget too large to add to the clock never expires.
@@ -97,22 +101,29 @@ SubmitStatus Server::submit(std::uint64_t session_id, SessionHandle session,
                               ? kNoDeadline
                               : now + *config_.deadline_us;
   }
-  {
-    std::lock_guard<std::mutex> lock(lane.mu);
-    const SessionRecord* record = lane.slab.get(session);
-    if (record == nullptr || record->session_id != session_id) {
-      return SubmitStatus::kStaleSession;
-    }
-    item.tenant = record->tenant;
-    item.payload = park_payload(lane, request);
+  std::lock_guard<std::mutex> lock(lane.mu);
+  const SessionRecord* record = lane.slab.get(session);
+  if (record == nullptr || record->session_id != session_id) {
+    return SubmitStatus::kStaleSession;
   }
-
+  item.payload = park_payload(lane, request);
   const SubmitStatus status = lane.shard.submit(item);
   if (status != SubmitStatus::kQueued) {
-    std::lock_guard<std::mutex> lock(lane.mu);
     lane.free_payloads.push_back(item.payload);
   }
   return status;
+}
+
+std::optional<std::uint64_t> Server::batch_ready_us(std::size_t w) const {
+  const Lane& lane = this->lane(w);
+  std::lock_guard<std::mutex> lock(lane.mu);
+  return lane.shard.batch_ready_us();
+}
+
+ShardStats Server::stats(std::size_t w) const {
+  const Lane& lane = this->lane(w);
+  std::lock_guard<std::mutex> lock(lane.mu);
+  return lane.shard.stats();
 }
 
 std::optional<PlannedBatch> Server::form_batch(std::size_t w, bool force) {
@@ -120,7 +131,11 @@ std::optional<PlannedBatch> Server::form_batch(std::size_t w, bool force) {
   VIBGUARD_REQUIRE(!lane.has_batch,
                    "complete the previous batch before forming another");
   lane.batch.clear();
-  const auto formed = lane.shard.form_batch(lane.batch, force);
+  std::optional<FormedBatch> formed;
+  {
+    std::lock_guard<std::mutex> lock(lane.mu);
+    formed = lane.shard.form_batch(lane.batch, force);
+  }
   if (!formed.has_value()) return std::nullopt;
   lane.formed = *formed;
   lane.has_batch = true;
@@ -188,8 +203,8 @@ void Server::complete_batch(std::size_t w, std::vector<ServedResult>& out,
                       lane.workspace);
   }
 
-  // Emit results in batch order, feed the breaker (primary route only,
-  // one outcome per item), update the slab records, recycle payloads.
+  // Emit results in batch order.
+  const std::size_t first = out.size();
   std::size_t next_scored = 0;
   for (std::size_t i = 0; i < lane.batch.size(); ++i) {
     const WorkItem& item = lane.batch[i];
@@ -207,41 +222,20 @@ void Server::complete_batch(std::size_t w, std::vector<ServedResult>& out,
       result.outcome.status = core::ScoreStatus::kDeadlineExceeded;
       result.outcome.reason = "deadline_expired_in_queue";
       result.outcome.score = core::kIndeterminateScore;
-      if (!lane.formed.degraded) {
-        // Never ran, so it says nothing about the pipeline's health —
-        // but if this was the probe, the slot must be released.
-        lane.shard.record(TrialOutcome::kIndeterminate,
-                          result.outcome.reason);
-      }
     } else {
       result.outcome = lane.outs[next_scored++];
-      if (!lane.formed.degraded) {
-        TrialOutcome trial = TrialOutcome::kIndeterminate;
-        if (result.outcome.status == core::ScoreStatus::kOk) {
-          trial = TrialOutcome::kSuccess;
-        } else if (result.outcome.status == core::ScoreStatus::kError ||
-                   result.outcome.status ==
-                       core::ScoreStatus::kDeadlineExceeded) {
-          trial = TrialOutcome::kHardFailure;
-        }
-        lane.shard.record(trial, result.outcome.reason != nullptr
-                                     ? result.outcome.reason
-                                     : "");
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(lane.mu);
-      SessionRecord* record = lane.slab.get(item.session);
-      // Expired drops were never served: the record's counters describe
-      // work actually done for the session.
-      if (!item.expired_in_queue && record != nullptr &&
-          record->session_id == item.session_id) {
-        ++record->served;
-        record->last_active_us = clock_->now_us();
-      }
-      lane.free_payloads.push_back(item.payload);
     }
     out.push_back(result);
+  }
+
+  // Feed the breaker (primary route only, one outcome per item) and
+  // recycle the payload slots, under one lock for the whole batch.
+  std::lock_guard<std::mutex> lock(lane.mu);
+  for (std::size_t i = 0; i < lane.batch.size(); ++i) {
+    if (!lane.formed.degraded) {
+      lane.shard.record(trial_outcome(out[first + i]));
+    }
+    lane.free_payloads.push_back(lane.batch[i].payload);
   }
 }
 
@@ -257,17 +251,41 @@ void Server::drain(std::vector<ServedResult>& out) {
 
 std::size_t Server::run_pump(std::size_t w, const ResultSink& sink,
                              const std::atomic<bool>& stop) {
-  Lane& lane = this->lane(w);
   std::vector<ServedResult> local;
-  return lane.shard.run_pump(
-      [&](bool force) {
-        if (!form_batch(w, force).has_value()) return false;
-        local.clear();
-        complete_batch(w, local);
-        for (const ServedResult& result : local) sink(result);
-        return true;
-      },
-      stop);
+  // Forms and completes one batch, feeding the sink; false when none formed.
+  const auto serve_batch = [&](bool force) {
+    if (!form_batch(w, force).has_value()) return false;
+    local.clear();
+    complete_batch(w, local);
+    for (const ServedResult& result : local) sink(result);
+    return true;
+  };
+  std::size_t batches = 0;
+  for (;;) {
+    if (stop.load(std::memory_order_acquire)) {
+      // Graceful stop: serve everything still queued (forced windows) so a
+      // shutdown never strands admitted work, then leave.
+      while (serve_batch(/*force=*/true)) ++batches;
+      return batches;
+    }
+    const auto ready = batch_ready_us(w);
+    if (!ready.has_value()) {
+      clock_->sleep_us(kPumpIdlePollUs);
+      continue;
+    }
+    const std::uint64_t now = clock_->now_us();
+    if (now < *ready) {
+      // Sleep toward the window in bounded slices so stop stays
+      // responsive.
+      clock_->sleep_us(std::min(*ready - now, kPumpIdlePollUs));
+      continue;
+    }
+    if (serve_batch(/*force=*/false)) {
+      ++batches;
+    } else {
+      clock_->sleep_us(kPumpIdlePollUs);
+    }
+  }
 }
 
 void Server::start_pumps(ResultSink sink) {

@@ -4,23 +4,25 @@
 // zero-alloc batch scorer compose into a fixed-size fleet here. This is
 // the repo's only overload path; one worker is the single serving node:
 //
-//   session id ── consistent hash ──▶ worker shard
-//                                      ├─ bounded work queue
-//                                      ├─ per-tenant admission quotas
-//                                      ├─ per-shard circuit breaker
-//                                      └─ micro-batcher ─▶ score_batch
+//   session id ── consistent hash ──▶ worker lane (one mutex)
+//                                      ├─ session slab, payload slots
+//                                      └─ shard: bounded work queue,
+//                                         circuit breaker, micro-batcher
+//                                         ─▶ score_batch
 //
 // Sessions are placed on workers by a consistent-hash ring over the
 // session id, so one session's requests always land on one shard — its
-// slab record is only ever touched under that shard's lane lock, and the
+// slab record is only ever touched under that worker's lane lock, and the
 // fleet needs no global session table. Idle sessions cost one flat
 // SessionRecord in the worker's SessionSlab (no per-session heap
 // allocation).
 //
 // The worker count and the ring are fixed at construction, so placement
-// and lane lookup read without a lock: submit() takes only its lane's
-// lock and its shard's lock, and form_batch/complete_batch take no
-// server-wide lock either.
+// and lane lookup read without a lock. Each worker has exactly one lock,
+// its lane mutex, which guards the slab, the payload slots and the
+// unlocked shard: submit() takes it once, form_batch() once and
+// complete_batch() twice per batch (borrowing the payloads, then feeding
+// the breaker and recycling the slots). Nothing takes a server-wide lock.
 //
 // Admitted requests from *different* sessions are coalesced by the
 // shard's micro-batcher into DefenseSystem::score_batch calls. The serial
@@ -33,13 +35,12 @@
 // allocates nothing on the draining thread: every buffer it uses is
 // lane-owned scratch.
 //
-// Threading model: submit() may be called from any thread (slab/payload
-// mutations take the lane lock, the queue takes the shard lock). Batch
-// formation and completion are designed for ONE drainer per shard at a
-// time — run one pump thread per worker, or drive all shards from a
-// simulator loop (eval::run_fleet_sweep does exactly that on a
-// VirtualClock). open_session/close_session are not thread-safe against
-// in-flight submits for the same session.
+// Threading model: submit(), batch_ready_us() and stats() may be called
+// from any thread. Batch formation and completion are designed for ONE
+// drainer per worker at a time — run one pump thread per worker, or drive
+// all workers from a simulator loop (eval::run_fleet_sweep does exactly
+// that on a VirtualClock). open_session/close_session are not thread-safe
+// against in-flight submits for the same session.
 #pragma once
 
 #include <atomic>
@@ -69,15 +70,14 @@ inline constexpr std::size_t kRingReplicas = 64;
 
 struct ServerConfig {
   /// Primary pipeline configuration (every worker scores with an
-  /// identical DefenseSystem, so placement cannot change results).
+  /// identical DefenseSystem, so placement cannot change results). While a
+  /// shard's breaker is open its batches are scored in the cheaper
+  /// DefenseMode::kAudioBaseline instead.
   core::DefenseConfig defense;
-  /// The cheaper mode degraded batches are scored in while a shard's
-  /// breaker is open.
-  core::DefenseMode degraded_mode = core::DefenseMode::kAudioBaseline;
 
   std::size_t workers = 4;
   /// Per-worker shard configuration (queue bound, micro-batch window,
-  /// tenant quotas, breaker).
+  /// breaker).
   ShardConfig shard;
   /// Per-request budget from submission, on the server clock; requests
   /// whose budget passes while queued are dropped as expired. nullopt
@@ -139,28 +139,26 @@ class Server {
 
   /// Registers a session in its shard's slab and returns the handle every
   /// subsequent submit for it must present.
-  SessionHandle open_session(std::uint64_t session_id,
-                             std::uint32_t tenant = 0);
+  SessionHandle open_session(std::uint64_t session_id);
 
-  /// Frees the session's slab slot; outstanding handles go stale. False
-  /// when the handle is already stale. Requests still queued for the
-  /// session are served normally (their results just stop updating the
-  /// record).
+  /// Frees the session's slab slot; outstanding handles go stale, so a
+  /// later submit with one is refused as kStaleSession. False when the
+  /// handle is already stale. Requests still queued for the session are
+  /// served normally.
   bool close_session(std::uint64_t session_id, SessionHandle handle);
 
-  /// Live sessions across all shards.
-  std::size_t sessions() const;
-
-  /// Read access to a session's record (nullptr when stale). The pointer
-  /// is invalidated by the next open_session on the same shard.
-  const SessionRecord* session(std::uint64_t session_id,
-                               SessionHandle handle) const;
-
-  /// Routes one request to the session's shard: tenant quota, bounded
-  /// queue, deadline stamping. kStaleSession when the handle no longer
-  /// matches a live record for `session_id`. Thread-safe.
+  /// Routes one request to the session's shard: bounded queue, deadline
+  /// stamping. kStaleSession when the handle no longer matches a live
+  /// record for `session_id`. Thread-safe; takes the lane lock once.
   SubmitStatus submit(std::uint64_t session_id, SessionHandle session,
                       const ServerRequest& request);
+
+  /// When worker `w`'s next batch is due, on the server clock (nullopt:
+  /// queue empty); see Shard::batch_ready_us. Thread-safe.
+  std::optional<std::uint64_t> batch_ready_us(std::size_t w) const;
+
+  /// A copy of worker `w`'s shard counters. Thread-safe.
+  ShardStats stats(std::size_t w) const;
 
   /// Forms worker `w`'s next micro-batch (nullopt: queue empty, or the
   /// window has not elapsed and `force` is false). The batch is parked in
@@ -188,9 +186,13 @@ class Server {
   /// thread-safe across pumps.
   using ResultSink = std::function<void(const ServedResult&)>;
 
-  /// Runs worker `w`'s pump loop on the calling thread (Shard::run_pump):
-  /// forms and completes micro-batches as their windows elapse, feeding
-  /// `sink`. Returns batches served.
+  /// Runs worker `w`'s pump loop on the calling thread. Each iteration
+  /// either sleeps toward the next batch-ready time (in slices of at most
+  /// 1 ms of server clock, so `stop` stays responsive) or forms and
+  /// completes one micro-batch, feeding `sink`. On `stop` the loop
+  /// force-drains everything still queued before returning. Returns
+  /// batches served. One pump per worker at a time (the one-drainer
+  /// contract).
   std::size_t run_pump(std::size_t w, const ResultSink& sink,
                        const std::atomic<bool>& stop);
 
@@ -201,18 +203,16 @@ class Server {
   void stop_pumps();
   bool pumps_running() const { return !pumps_.empty(); }
 
-  const Shard& shard(std::size_t w) const { return lane(w).shard; }
-
  private:
   /// Everything one worker owns. Heap-pinned (vector of unique_ptr) so
-  /// lanes never move; `mu` guards the slab and payload slots, the shard
-  /// locks itself.
+  /// lanes never move; `mu` guards the shard, the slab and the payload
+  /// slots. The scratch below them belongs to the worker's one drainer.
   struct Lane {
     Lane(const ShardConfig& shard_config, const Clock& clock)
         : shard(shard_config, clock) {}
 
-    Shard shard;
     mutable std::mutex mu;
+    Shard shard;
     SessionSlab slab;
     /// Parked request payloads, indexed by WorkItem::payload; slots are
     /// recycled LIFO. Holds the borrowed signal pointers and the owned

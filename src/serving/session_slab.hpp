@@ -1,8 +1,8 @@
 // SessionSlab: compact storage for millions of mostly-idle sessions.
 //
-// A serving fleet keeps per-session state (a stable id, admission/quota
-// bookkeeping, last-activity timestamps) for every client that ever opened
-// a session, but only a tiny fraction of them are active at any instant.
+// A serving fleet keeps per-session state (at least a stable id) for every
+// client that ever opened a session, but only a tiny fraction of them are
+// active at any instant.
 // Storing each record behind its own heap allocation — the obvious
 // map<id, unique_ptr<Session>> — costs an allocator round-trip per
 // open/close and scatters idle records across the heap. The slab instead
@@ -15,9 +15,9 @@
 // alias the record that reused its slot.
 //
 // The slab is deliberately dumb about its payload: it stores a small POD
-// `SessionRecord` (id, tenant, counters). Heavier per-request state lives
-// in the shard's queues for exactly as long as a request is in flight.
-// Not thread-safe; each server worker owns the slab slice for its shard.
+// `SessionRecord` (the session id). Heavier per-request state lives in the
+// shard's queues for exactly as long as a request is in flight. Not
+// thread-safe; each server worker owns the slab slice for its shard.
 #pragma once
 
 #include <cstddef>
@@ -49,9 +49,6 @@ struct SessionHandle {
 /// is what "millions of idle sessions" are made of.
 struct SessionRecord {
   std::uint64_t session_id = 0;  ///< caller-chosen stable identity
-  std::uint32_t tenant = 0;      ///< admission-quota bucket
-  std::uint64_t served = 0;      ///< requests completed for this session
-  std::uint64_t last_active_us = 0;  ///< clock time of the last completion
 };
 
 class SessionSlab {

@@ -20,13 +20,18 @@ const char* submit_status_name(SubmitStatus status) {
   switch (status) {
     case SubmitStatus::kQueued: return "queued";
     case SubmitStatus::kRejectedQueueFull: return "rejected_queue_full";
-    case SubmitStatus::kRejectedTenantQuota: return "rejected_tenant_quota";
     case SubmitStatus::kStaleSession: return "stale_session";
   }
   VIBGUARD_UNREACHABLE();
 }
 
-WorkRing::WorkRing(std::size_t capacity) : ring_(capacity) {}
+WorkRing::WorkRing(std::size_t capacity) {
+  // Every slot is allocated here, up front: the bound keeps a mistyped
+  // capacity a usage error instead of a giant allocation.
+  VIBGUARD_REQUIRE(capacity <= kMaxQueueCapacity,
+                   "queue capacity must be at most 65536");
+  ring_.resize(capacity);
+}
 
 bool WorkRing::try_push(const WorkItem& item) {
   if (count_ >= ring_.size()) return false;
@@ -47,35 +52,6 @@ bool WorkRing::try_peek(WorkItem& out) const {
   if (count_ == 0) return false;
   out = ring_[head_];
   return true;
-}
-
-TenantQuotas::TenantQuotas(std::size_t default_max)
-    : max_queued_(default_max) {}
-
-bool TenantQuotas::try_charge(std::uint32_t tenant) {
-  State& s = tenants_[tenant];
-  if (s.queued >= max_queued_) {
-    ++s.rejected;
-    ++total_rejected_;
-    return false;
-  }
-  ++s.queued;
-  return true;
-}
-
-void TenantQuotas::release(std::uint32_t tenant) {
-  State& s = tenants_[tenant];
-  if (s.queued > 0) --s.queued;
-}
-
-std::size_t TenantQuotas::queued(std::uint32_t tenant) const {
-  const auto it = tenants_.find(tenant);
-  return it != tenants_.end() ? it->second.queued : 0;
-}
-
-std::uint64_t TenantQuotas::rejected(std::uint32_t tenant) const {
-  const auto it = tenants_.find(tenant);
-  return it != tenants_.end() ? it->second.rejected : 0;
 }
 
 ConsistentHashRing::ConsistentHashRing(std::size_t workers,
@@ -108,10 +84,7 @@ std::size_t ConsistentHashRing::worker_for(std::uint64_t h) const {
 }
 
 Shard::Shard(ShardConfig config, const Clock& clock)
-    : config_(config),
-      clock_(&clock),
-      queue_(config.queue_capacity),
-      quotas_(config.tenant_max_queued) {
+    : config_(config), clock_(&clock), queue_(config.queue_capacity) {
   VIBGUARD_REQUIRE(config_.batch_max > 0, "batch size must be positive");
   if (config_.breaker.has_value()) {
     breaker_.emplace(*config_.breaker, clock);
@@ -119,67 +92,25 @@ Shard::Shard(ShardConfig config, const Clock& clock)
 }
 
 SubmitStatus Shard::submit(WorkItem item) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!quotas_.try_charge(item.tenant)) {
-    ++stats_.quota_rejected;
-    return SubmitStatus::kRejectedTenantQuota;
-  }
   item.enqueued_us = clock_->now_us();
   if (!queue_.try_push(item)) {
-    quotas_.release(item.tenant);
-    ++stats_.admission.rejected;
+    ++stats_.rejected;
     return SubmitStatus::kRejectedQueueFull;
   }
-  ++stats_.admission.admitted;
+  ++stats_.admitted;
   return SubmitStatus::kQueued;
 }
 
-std::size_t Shard::run_pump(const std::function<bool(bool force)>& drain_once,
-                            const std::atomic<bool>& stop) {
-  std::size_t batches = 0;
-  for (;;) {
-    if (stop.load(std::memory_order_acquire)) {
-      // Graceful stop: serve everything still queued (forced windows) so a
-      // shutdown never strands admitted work, then leave.
-      while (drain_once(/*force=*/true)) ++batches;
-      return batches;
-    }
-    const auto ready = batch_ready_us();
-    if (!ready.has_value()) {
-      clock_->sleep_us(kPumpIdlePollUs);
-      continue;
-    }
-    const std::uint64_t now = clock_->now_us();
-    if (now < *ready) {
-      // Sleep toward the window in bounded slices so stop stays
-      // responsive.
-      clock_->sleep_us(std::min(*ready - now, kPumpIdlePollUs));
-      continue;
-    }
-    if (drain_once(/*force=*/false)) {
-      ++batches;
-    } else {
-      clock_->sleep_us(kPumpIdlePollUs);
-    }
-  }
-}
-
-std::optional<std::uint64_t> Shard::ready_locked() const {
+std::optional<std::uint64_t> Shard::batch_ready_us() const {
   WorkItem oldest;
   if (!queue_.try_peek(oldest)) return std::nullopt;
   if (queue_.size() >= config_.batch_max) return oldest.enqueued_us;
   return oldest.enqueued_us + config_.batch_window_us;
 }
 
-std::optional<std::uint64_t> Shard::batch_ready_us() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ready_locked();
-}
-
 std::optional<FormedBatch> Shard::form_batch(std::vector<WorkItem>& out,
                                              bool force) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto ready = ready_locked();
+  const auto ready = batch_ready_us();
   if (!ready.has_value()) return std::nullopt;
   const std::uint64_t now = clock_->now_us();
   if (!force && now < *ready) return std::nullopt;
@@ -202,19 +133,17 @@ std::optional<FormedBatch> Shard::form_batch(std::vector<WorkItem>& out,
   const std::size_t limit = batch.probe ? 1 : config_.batch_max;
   WorkItem item;
   while (batch.items < limit && queue_.try_pop(item)) {
-    quotas_.release(item.tenant);
     if (item.deadline_at_us <= now) {
       // Expired while queued: still handed to the server (a result must
       // be emitted) but never counted as a service dequeue.
       item.expired_in_queue = true;
-      ++stats_.admission.expired;
+      ++stats_.expired;
     } else {
       const std::uint64_t queue_us =
           now >= item.enqueued_us ? now - item.enqueued_us : 0;
-      ++stats_.admission.dequeued;
-      stats_.admission.total_queue_us += queue_us;
-      stats_.admission.max_queue_us =
-          std::max(stats_.admission.max_queue_us, queue_us);
+      ++stats_.dequeued;
+      stats_.total_queue_us += queue_us;
+      stats_.max_queue_us = std::max(stats_.max_queue_us, queue_us);
     }
     out.push_back(item);
     ++batch.items;
@@ -225,12 +154,11 @@ std::optional<FormedBatch> Shard::form_batch(std::vector<WorkItem>& out,
   return batch;
 }
 
-void Shard::record(TrialOutcome outcome, const std::string& stage) {
-  std::lock_guard<std::mutex> lock(mu_);
+void Shard::record(TrialOutcome outcome) {
   if (!breaker_.has_value()) return;
   switch (outcome) {
     case TrialOutcome::kSuccess: breaker_->record_success(); return;
-    case TrialOutcome::kHardFailure: breaker_->record_failure(stage); return;
+    case TrialOutcome::kHardFailure: breaker_->record_failure(); return;
     case TrialOutcome::kIndeterminate:
       breaker_->record_indeterminate();
       return;
@@ -238,14 +166,10 @@ void Shard::record(TrialOutcome outcome, const std::string& stage) {
   VIBGUARD_UNREACHABLE();
 }
 
-std::size_t Shard::depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
 ShardStats Shard::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  ShardStats stats = stats_;
+  if (breaker_.has_value()) stats.breaker_trips = breaker_->trips();
+  return stats;
 }
 
 }  // namespace vibguard::serving

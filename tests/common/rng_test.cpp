@@ -112,7 +112,6 @@ TEST(RngTest, BernoulliExtremes) {
 TEST(RngTest, ForkIsDeterministicAndIndependent) {
   Rng parent(41);
   Rng c1 = parent.fork(1);
-  Rng c2 = parent.fork(2);
   Rng c1_again = parent.fork(1);
   EXPECT_EQ(c1(), c1_again());
   // Distinct labels give distinct streams.

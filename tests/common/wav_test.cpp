@@ -111,7 +111,7 @@ TEST(WavTest, StereoDownmixAveragesChannels) {
     bytes.push_back(static_cast<std::uint8_t>((v >> 24) & 0xff));
   };
   auto tag = [&bytes](const std::string& s) {
-    bytes.insert(bytes.end(), s.begin(), s.end());
+    for (const char c : s) bytes.push_back(static_cast<std::uint8_t>(c));
   };
   const auto data_bytes =
       static_cast<std::uint32_t>(frames.size() * 2 * sizeof(std::int16_t));

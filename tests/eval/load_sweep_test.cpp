@@ -34,7 +34,7 @@ LoadSweepConfig small_config() {
   cfg.service_us_degraded = 30'000;
   cfg.deadline_us = 400'000;
   cfg.queue_capacity = 4;
-  cfg.breaker = serving::BreakerConfig{2, 500'000, 1};
+  cfg.breaker = serving::BreakerConfig{2, 500'000};
   return cfg;
 }
 
@@ -88,7 +88,6 @@ TEST(LoadSweepTest, SingleNodeReproducesRecordedRows) {
       EXPECT_EQ(p.arrivals, 16u);
       EXPECT_EQ(p.admitted, want.admitted);
       EXPECT_EQ(p.rejected, want.rejected);
-      EXPECT_EQ(p.quota_rejected, 0u);
       EXPECT_EQ(p.deadline_missed, want.deadline_missed);
       EXPECT_EQ(p.scored_primary, want.scored_primary);
       EXPECT_EQ(p.scored_degraded, want.scored_degraded);
@@ -111,7 +110,7 @@ TEST(LoadSweepTest, RunsEndToEndAndConservesCounts) {
   for (const FleetSweepPoint& p : result.points) {
     EXPECT_EQ(p.arrivals, cfg.base.legit_trials + cfg.base.attack_trials);
     // Every arrival is either admitted or rejected...
-    EXPECT_EQ(p.admitted + p.rejected + p.quota_rejected, p.arrivals);
+    EXPECT_EQ(p.admitted + p.rejected, p.arrivals);
     // ...and every admitted request ends in exactly one terminal state.
     EXPECT_EQ(p.scored_primary + p.scored_degraded + p.indeterminate +
                   p.errors + p.deadline_missed,
@@ -214,7 +213,6 @@ FleetSweepConfig small_fleet() {
   cfg.base.offered_rps = {0.5};  // light load: everything should serve
   cfg.workers = {1, 2, 3};
   cfg.sessions = 6;
-  cfg.tenants = 2;
   cfg.batch_max = 3;
   cfg.batch_window_us = 20'000;
   return cfg;
@@ -227,7 +225,6 @@ TEST(FleetSweepTest, LightLoadServesEverythingOnEveryWorkerCount) {
   for (const FleetSweepPoint& p : result.points) {
     EXPECT_EQ(p.arrivals, 16u);
     EXPECT_EQ(p.rejected, 0u);
-    EXPECT_EQ(p.quota_rejected, 0u);
     EXPECT_EQ(p.deadline_missed, 0u);
     EXPECT_EQ(p.scored_primary, p.arrivals);
     EXPECT_EQ(p.scored_degraded, 0u);
@@ -270,25 +267,25 @@ TEST(FleetSweepTest, SmallFleetReproducesRecordedRows) {
   const struct {
     std::size_t workers;
     double offered_rps;
-    std::size_t arrivals, admitted, rejected, quota_rejected,
-        deadline_missed, scored_primary, scored_degraded, indeterminate,
-        errors, breaker_trips, batches;
+    std::size_t arrivals, admitted, rejected, deadline_missed,
+        scored_primary, scored_degraded, indeterminate, errors,
+        breaker_trips, batches;
     double mean_batch, mean_queue_us, throughput_rps, eer_primary,
         eer_degraded;
   } kRows[] = {
-      {1, 0x1p-1, 16, 16, 0, 0, 0, 16, 0, 0, 0, 0, 16, 0x1p+0, 0x1.388p+14,
+      {1, 0x1p-1, 16, 16, 0, 0, 16, 0, 0, 0, 0, 16, 0x1p+0, 0x1.388p+14,
        0x1.aea1351251be6p-2, 0x1p-3, nan},
-      {1, 0x1.4p+3, 16, 15, 1, 0, 2, 6, 7, 0, 0, 1, 9, 0x1.aaaaaaaaaaaabp+0,
+      {1, 0x1.4p+3, 16, 15, 1, 2, 6, 7, 0, 0, 1, 9, 0x1.aaaaaaaaaaaabp+0,
        0x1.b7abccccccccdp+16, 0x1.e2b03691dd427p+2, 0x1p-2,
        0x1.999999999999ap-1},
-      {2, 0x1p-1, 16, 16, 0, 0, 0, 16, 0, 0, 0, 0, 16, 0x1p+0, 0x1.388p+14,
+      {2, 0x1p-1, 16, 16, 0, 0, 16, 0, 0, 0, 0, 16, 0x1p+0, 0x1.388p+14,
        0x1.aea1351251be6p-2, 0x1p-3, nan},
-      {2, 0x1.4p+3, 16, 15, 1, 0, 2, 6, 7, 0, 0, 1, 9, 0x1.aaaaaaaaaaaabp+0,
+      {2, 0x1.4p+3, 16, 15, 1, 2, 6, 7, 0, 0, 1, 9, 0x1.aaaaaaaaaaaabp+0,
        0x1.b7abccccccccdp+16, 0x1.e2b03691dd427p+2, 0x1p-2,
        0x1.999999999999ap-1},
-      {3, 0x1p-1, 16, 16, 0, 0, 0, 16, 0, 0, 0, 0, 16, 0x1p+0, 0x1.388p+14,
+      {3, 0x1p-1, 16, 16, 0, 0, 16, 0, 0, 0, 0, 16, 0x1p+0, 0x1.388p+14,
        0x1.aea1351251be6p-2, 0x1p-3, nan},
-      {3, 0x1.4p+3, 16, 14, 2, 0, 2, 8, 4, 0, 0, 1, 10, 0x1.6666666666666p+0,
+      {3, 0x1.4p+3, 16, 14, 2, 2, 8, 4, 0, 0, 1, 10, 0x1.6666666666666p+0,
        0x1.67d4a49249249p+16, 0x1.ccf02566de76ap+2, 0x1.9999999999998p-3,
        nan},
   };
@@ -313,7 +310,6 @@ TEST(FleetSweepTest, SmallFleetReproducesRecordedRows) {
     EXPECT_EQ(p.arrivals, want.arrivals);
     EXPECT_EQ(p.admitted, want.admitted);
     EXPECT_EQ(p.rejected, want.rejected);
-    EXPECT_EQ(p.quota_rejected, want.quota_rejected);
     EXPECT_EQ(p.deadline_missed, want.deadline_missed);
     EXPECT_EQ(p.scored_primary, want.scored_primary);
     EXPECT_EQ(p.scored_degraded, want.scored_degraded);
@@ -341,7 +337,7 @@ TEST(FleetSweepTest, ConservesCountsUnderOverload) {
   const FleetSweepResult result = run_fleet_sweep(cfg, 42);
   ASSERT_EQ(result.points.size(), 4u);  // workers grid x load grid
   for (const FleetSweepPoint& p : result.points) {
-    EXPECT_EQ(p.admitted + p.rejected + p.quota_rejected, p.arrivals);
+    EXPECT_EQ(p.admitted + p.rejected, p.arrivals);
     EXPECT_EQ(p.scored_primary + p.scored_degraded + p.indeterminate +
                   p.errors + p.deadline_missed,
               p.admitted);
@@ -353,19 +349,6 @@ TEST(FleetSweepTest, ConservesCountsUnderOverload) {
   ASSERT_EQ(heavy_2w.workers, 2u);
   EXPECT_GE(heavy_2w.scored_primary + heavy_2w.scored_degraded,
             heavy_1w.scored_primary + heavy_1w.scored_degraded);
-}
-
-TEST(FleetSweepTest, TenantQuotaRejectsAreCountedSeparately) {
-  FleetSweepConfig cfg = small_fleet();
-  cfg.base.offered_rps = {10.0};
-  cfg.workers = {1};
-  cfg.tenant_max_queued = 1;  // tight quota forces quota rejections
-  const FleetSweepResult result = run_fleet_sweep(cfg, 42);
-  ASSERT_EQ(result.points.size(), 1u);
-  EXPECT_GT(result.points[0].quota_rejected, 0u);
-  EXPECT_EQ(result.points[0].admitted + result.points[0].rejected +
-                result.points[0].quota_rejected,
-            result.points[0].arrivals);
 }
 
 TEST(FleetSweepTest, SummaryPrintsOneRowPerGridCell) {
@@ -387,9 +370,6 @@ TEST(FleetSweepTest, RejectsBadConfig) {
   EXPECT_THROW(run_fleet_sweep(cfg, 1), Error);
   cfg = small_fleet();
   cfg.sessions = 0;
-  EXPECT_THROW(run_fleet_sweep(cfg, 1), Error);
-  cfg = small_fleet();
-  cfg.tenants = 0;
   EXPECT_THROW(run_fleet_sweep(cfg, 1), Error);
   cfg = small_fleet();
   cfg.base.legit_trials = 0;

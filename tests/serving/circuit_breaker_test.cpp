@@ -9,14 +9,7 @@ namespace vibguard::serving {
 namespace {
 
 constexpr BreakerConfig kConfig{/*failure_threshold=*/3,
-                                /*cooldown_us=*/1000,
-                                /*half_open_successes=*/1};
-
-TEST(CircuitBreakerTest, StateNames) {
-  EXPECT_STREQ(breaker_state_name(BreakerState::kClosed), "closed");
-  EXPECT_STREQ(breaker_state_name(BreakerState::kOpen), "open");
-  EXPECT_STREQ(breaker_state_name(BreakerState::kHalfOpen), "half_open");
-}
+                                /*cooldown_us=*/1000};
 
 TEST(CircuitBreakerTest, StartsClosedAndAllowsPrimary) {
   VirtualClock clock;
@@ -24,52 +17,35 @@ TEST(CircuitBreakerTest, StartsClosedAndAllowsPrimary) {
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
   EXPECT_TRUE(breaker.allow_primary());
   EXPECT_EQ(breaker.trips(), 0u);
-  EXPECT_EQ(breaker.tripped_stage(), "");
 }
 
 TEST(CircuitBreakerTest, TripsAfterConsecutiveFailuresOfOneStage) {
   VirtualClock clock;
   CircuitBreaker breaker(kConfig, clock);
-  breaker.record_failure("vib_capture");
-  breaker.record_failure("vib_capture");
+  breaker.record_failure();
+  breaker.record_failure();
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  breaker.record_failure("vib_capture");
+  breaker.record_failure();
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
   EXPECT_FALSE(breaker.allow_primary());
   EXPECT_EQ(breaker.trips(), 1u);
-  EXPECT_EQ(breaker.tripped_stage(), "vib_capture");
 }
 
 TEST(CircuitBreakerTest, SuccessResetsConsecutiveCounts) {
   VirtualClock clock;
   CircuitBreaker breaker(kConfig, clock);
-  breaker.record_failure("sync");
-  breaker.record_failure("sync");
+  breaker.record_failure();
+  breaker.record_failure();
   breaker.record_success();
-  breaker.record_failure("sync");
-  breaker.record_failure("sync");
+  breaker.record_failure();
+  breaker.record_failure();
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-}
-
-TEST(CircuitBreakerTest, FailuresAcrossStagesDoNotPool) {
-  VirtualClock clock;
-  CircuitBreaker breaker(kConfig, clock);
-  // The trip condition is per-stage: two stages each failing twice is four
-  // failures but no stage has reached the threshold of three.
-  breaker.record_failure("sync");
-  breaker.record_failure("sync");
-  breaker.record_failure("segment");
-  breaker.record_failure("segment");
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  breaker.record_failure("segment");
-  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  EXPECT_EQ(breaker.tripped_stage(), "segment");
 }
 
 TEST(CircuitBreakerTest, CooldownLeadsToHalfOpenProbe) {
   VirtualClock clock;
   CircuitBreaker breaker(kConfig, clock);
-  for (int i = 0; i < 3; ++i) breaker.record_failure("correlate");
+  for (int i = 0; i < 3; ++i) breaker.record_failure();
   EXPECT_FALSE(breaker.allow_primary());
   clock.advance(kConfig.cooldown_us - 1);
   EXPECT_FALSE(breaker.allow_primary());
@@ -81,7 +57,7 @@ TEST(CircuitBreakerTest, CooldownLeadsToHalfOpenProbe) {
 TEST(CircuitBreakerTest, ProbeSuccessCloses) {
   VirtualClock clock;
   CircuitBreaker breaker(kConfig, clock);
-  for (int i = 0; i < 3; ++i) breaker.record_failure("correlate");
+  for (int i = 0; i < 3; ++i) breaker.record_failure();
   clock.advance(kConfig.cooldown_us);
   ASSERT_TRUE(breaker.allow_primary());
   breaker.record_success();
@@ -93,10 +69,10 @@ TEST(CircuitBreakerTest, ProbeSuccessCloses) {
 TEST(CircuitBreakerTest, ProbeFailureReopensForFullCooldown) {
   VirtualClock clock;
   CircuitBreaker breaker(kConfig, clock);
-  for (int i = 0; i < 3; ++i) breaker.record_failure("correlate");
+  for (int i = 0; i < 3; ++i) breaker.record_failure();
   clock.advance(kConfig.cooldown_us);
   ASSERT_TRUE(breaker.allow_primary());
-  breaker.record_failure("correlate");  // probe failed
+  breaker.record_failure();  // probe failed
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
   EXPECT_FALSE(breaker.allow_primary());
   clock.advance(kConfig.cooldown_us - 1);
@@ -105,23 +81,10 @@ TEST(CircuitBreakerTest, ProbeFailureReopensForFullCooldown) {
   EXPECT_TRUE(breaker.allow_primary());
 }
 
-TEST(CircuitBreakerTest, RequiresMultipleProbeSuccessesWhenConfigured) {
-  VirtualClock clock;
-  CircuitBreaker breaker({3, 1000, 2}, clock);
-  for (int i = 0; i < 3; ++i) breaker.record_failure("sync");
-  clock.advance(1000);
-  ASSERT_TRUE(breaker.allow_primary());
-  breaker.record_success();
-  EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
-  ASSERT_TRUE(breaker.allow_primary());
-  breaker.record_success();
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-}
-
 TEST(CircuitBreakerTest, HalfOpenAllowsOnlyOneOutstandingProbe) {
   VirtualClock clock;
   CircuitBreaker breaker(kConfig, clock);
-  for (int i = 0; i < 3; ++i) breaker.record_failure("correlate");
+  for (int i = 0; i < 3; ++i) breaker.record_failure();
   clock.advance(kConfig.cooldown_us);
   ASSERT_TRUE(breaker.allow_primary());  // the probe
   // A burst of further commands while the probe is outstanding must all
@@ -136,17 +99,16 @@ TEST(CircuitBreakerTest, HalfOpenAllowsOnlyOneOutstandingProbe) {
 TEST(CircuitBreakerTest, MultiStageFailureCountsAsOneProbeOutcome) {
   VirtualClock clock;
   CircuitBreaker breaker(kConfig, clock);
-  for (int i = 0; i < 3; ++i) breaker.record_failure("correlate");
+  for (int i = 0; i < 3; ++i) breaker.record_failure();
   clock.advance(kConfig.cooldown_us);
   ASSERT_TRUE(breaker.allow_primary());
-  // The probe trial fails in two stages. The first report reopens the
-  // breaker; the second is a stale report for the same trial and must not
-  // restart the cooldown window.
-  breaker.record_failure("sync");
+  // The probe trial fails in two stages and is reported twice. The first
+  // report reopens the breaker; the second is a stale report for the same
+  // trial and must not restart the cooldown window.
+  breaker.record_failure();
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
   clock.advance(kConfig.cooldown_us / 2);
-  breaker.record_failure("segment");  // stale: same trial, later stage
-  EXPECT_EQ(breaker.tripped_stage(), "sync");
+  breaker.record_failure();  // stale: same trial, later stage
   clock.advance(kConfig.cooldown_us / 2);
   // Full cooldown since the FIRST report has elapsed; if the stale report
   // had re-bumped opened_at the breaker would still refuse the probe here.
@@ -156,7 +118,7 @@ TEST(CircuitBreakerTest, MultiStageFailureCountsAsOneProbeOutcome) {
 TEST(CircuitBreakerTest, IndeterminateProbeDoesNotCloseBreaker) {
   VirtualClock clock;
   CircuitBreaker breaker(kConfig, clock);
-  for (int i = 0; i < 3; ++i) breaker.record_failure("correlate");
+  for (int i = 0; i < 3; ++i) breaker.record_failure();
   clock.advance(kConfig.cooldown_us);
   ASSERT_TRUE(breaker.allow_primary());
   breaker.record_indeterminate();  // probe was quality-gated: no verdict
@@ -172,17 +134,16 @@ TEST(CircuitBreakerTest, IndeterminateProbeDoesNotCloseBreaker) {
 TEST(CircuitBreakerTest, IndeterminateWhileClosedKeepsFailureStreaks) {
   VirtualClock clock;
   CircuitBreaker breaker(kConfig, clock);
-  breaker.record_failure("sync");
-  breaker.record_failure("sync");
+  breaker.record_failure();
+  breaker.record_failure();
   breaker.record_indeterminate();  // neutral: no verdict either way
-  breaker.record_failure("sync");  // third consecutive hard failure
+  breaker.record_failure();  // third consecutive hard failure
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
 }
 
 TEST(CircuitBreakerTest, RejectsDegenerateConfig) {
   VirtualClock clock;
-  EXPECT_THROW(CircuitBreaker({0, 1000, 1}, clock), Error);
-  EXPECT_THROW(CircuitBreaker({3, 1000, 0}, clock), Error);
+  EXPECT_THROW(CircuitBreaker({0, 1000}, clock), Error);
 }
 
 }  // namespace

@@ -7,10 +7,9 @@
 namespace vibguard::serving {
 namespace {
 
-SessionRecord record(std::uint64_t id, std::uint32_t tenant = 0) {
+SessionRecord record(std::uint64_t id) {
   SessionRecord r;
   r.session_id = id;
-  r.tenant = tenant;
   return r;
 }
 
@@ -24,8 +23,8 @@ TEST(SessionSlabTest, DefaultHandleIsNull) {
 
 TEST(SessionSlabTest, InsertLookupRoundTrip) {
   SessionSlab slab;
-  const SessionHandle a = slab.insert(record(100, 1));
-  const SessionHandle b = slab.insert(record(200, 2));
+  const SessionHandle a = slab.insert(record(100));
+  const SessionHandle b = slab.insert(record(200));
   EXPECT_FALSE(a.is_null());
   EXPECT_NE(a, b);
   EXPECT_EQ(slab.size(), 2u);
@@ -33,9 +32,8 @@ TEST(SessionSlabTest, InsertLookupRoundTrip) {
   SessionRecord* ra = slab.get(a);
   ASSERT_NE(ra, nullptr);
   EXPECT_EQ(ra->session_id, 100u);
-  EXPECT_EQ(ra->tenant, 1u);
-  ra->served = 7;  // mutable through the handle
-  EXPECT_EQ(slab.get(a)->served, 7u);
+  ra->session_id = 101;  // mutable through the handle
+  EXPECT_EQ(slab.get(a)->session_id, 101u);
 
   const SessionSlab& cslab = slab;
   const SessionRecord* rb = cslab.get(b);
@@ -73,7 +71,7 @@ TEST(SessionSlabTest, GrowsAndSurvivesChurn) {
   SessionSlab slab;
   std::vector<SessionHandle> handles;
   for (std::uint64_t i = 0; i < 1000; ++i) {
-    handles.push_back(slab.insert(record(i, static_cast<std::uint32_t>(i % 7))));
+    handles.push_back(slab.insert(record(i)));
   }
   EXPECT_EQ(slab.size(), 1000u);
   EXPECT_GE(slab.capacity(), 1000u);
